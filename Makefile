@@ -69,7 +69,7 @@ CHAOS_TIMEOUT ?= 600
 CHAOS_TESTS := tests/test_runtime_faults.py tests/test_runtime_chaos.py
 TIMEOUT_BIN := $(shell command -v timeout 2>/dev/null)
 
-.PHONY: test bench bench-serving bench-smoke lint lint-static check check-runtime check-chaos coverage docs-sync
+.PHONY: test bench bench-serving bench-smoke perfbench-test lint lint-static check check-runtime check-chaos coverage docs-sync
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q $(PYTEST_FLAGS)
@@ -132,6 +132,11 @@ bench-serving:
 		serve-bench --clients $(SERVE_CLIENTS) --connect \
 		--replicas $(SERVE_REPLICAS) \
 		--requests 16 --batch 32 --epochs 2 --json BENCH_serving.json
+
+# The benchmark's tests sit outside the tier-1 testpaths; they put
+# src/ and perfbench/ on sys.path themselves.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q $(PYTEST_EXTRA)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples

@@ -13,9 +13,17 @@ execution paths per column tile:
 
 * **Fused counts** (default, exact APC): each tile draws its window
   total directly from ``Binomial(L, p)`` and the accumulation module
-  compares the summed ``(K, N, cols)`` integer counts against the
-  reference — the ``(K, L, N, cols)`` bit tensor of the naive
-  simulation is never built. Exactly distribution-equivalent.
+  compares the summed counts against the reference — the ``(K, L, N,
+  cols)`` bit tensor of the naive simulation is never built, and neither
+  is the ``(K, N, out)`` count tensor: :meth:`TiledLinearLayer._fused_pass`
+  walks that space in cache-sized blocks (:func:`fused_blocks`), adding
+  each block's counts into an ``(N, out)`` total. Exactly
+  distribution-equivalent. Its callers are ``forward`` (the sampler's
+  generator), :meth:`TiledLinearLayer.forward_batched` (a caller
+  generator or a :class:`~repro.sc.binomial.DrawBatch`) and the grouped
+  shard executor (:func:`repro.runtime.plan.run_stages_group`, a
+  pre-drawn uniform array); all get the same counts from the same
+  uniforms, block boundaries notwithstanding.
 * **Bit-level** (``approximate_layers > 0``): the OR-compressed APC
   needs individual bit coincidences, so tiles emit bit-packed windows
   (uint64 words, 64 clocks per word) that the module counts with
@@ -34,6 +42,39 @@ from repro.hardware.crossbar import CrossbarArray, check_activation_alphabet
 from repro.sc.accumulate import ScAccumulationModule
 from repro.sc.binomial import DrawBatch
 from repro.utils.rng import RngMixin, SeedLike
+
+#: Elements of the ``(K, N, out)`` count space one step of the fused
+#: pass works on. A block's values, uniforms, law indices and counts stay
+#: cache-resident instead of streaming full-size temporaries through
+#: memory; a sweep from 2^12 to 2^17 on the VGG conv passes put the
+#: optimum at 2^15-2^16 (2^12 was slower than no blocking at all).
+_FUSED_BLOCK_ELEMENTS = 1 << 15
+
+
+def fused_blocks(k_tiles: int, rows: int, cols: int):
+    """``(k0, k1, r0, r1)`` blocks covering a ``(k_tiles, rows, cols)``
+    space in C order, each about ``_FUSED_BLOCK_ELEMENTS`` elements.
+
+    When one row-tile slab (``rows * cols``) fits a block, blocks are
+    groups of whole slabs, so a few-image request stays one vectorized
+    step; otherwise each slab is cut into row ranges of equal size.
+    Visiting the blocks in order walks the space in C order (k outer,
+    rows inner), which is what keeps block-by-block generator draws
+    identical to one draw of the whole space.
+    """
+    slab = rows * cols
+    if slab == 0:
+        return []
+    if slab <= _FUSED_BLOCK_ELEMENTS:
+        step = _FUSED_BLOCK_ELEMENTS // slab
+        return [(k, min(k + step, k_tiles), 0, rows) for k in range(0, k_tiles, step)]
+    pieces = -(-slab // _FUSED_BLOCK_ELEMENTS)
+    step = -(-rows // pieces)
+    return [
+        (k, k + 1, r, min(r + step, rows))
+        for k in range(k_tiles)
+        for r in range(0, rows, step)
+    ]
 
 
 class TiledLinearLayer(RngMixin):
@@ -223,12 +264,11 @@ class TiledLinearLayer(RngMixin):
     ) -> np.ndarray:
         """Fused-count execution with one concatenated Binomial draw.
 
-        Like :meth:`_forward_fused` the column values of every row strip
-        are computed in one batched matmul, but the ``(K, N, out)``
-        window counts come from a *single* ``Generator.binomial`` call
-        over the concatenated tiles instead of per-table inverse-CDF
-        gathers — the whole layer costs one RNG invocation, attacking
-        the RNG-bound regime of the fused path. ``rng`` lets a
+        The column values of every row strip are computed in one batched
+        matmul over the whole ``(K, N, out)`` space, and the window
+        counts come from a *single* ``Generator.binomial`` call over the
+        concatenated tiles instead of per-table inverse-CDF gathers — the
+        whole layer costs one RNG invocation. ``rng`` lets a
         :class:`repro.api.Session` supply its own generator so it owns
         the stochastic state end to end.
         """
@@ -238,7 +278,10 @@ class TiledLinearLayer(RngMixin):
                 f"(approximate_layers={self.module.apc.approximate_layers}); "
                 "use forward_packed for the bit-level path"
             )
-        values, n = self._fused_values(activations, validate)
+        a = self._normalize_activations(activations)
+        check_activation_alphabet(a, self.config, validate)
+        n = a.shape[0]
+        values = self._strips(a).astype(np.float64) @ self._fused_weights
         probabilities = self._fused_sampler._probabilities_from_values(values)
         gen = self.rng if rng is None else rng
         counts = gen.binomial(self.config.window_bits, probabilities)
@@ -268,15 +311,14 @@ class TiledLinearLayer(RngMixin):
     ) -> np.ndarray:
         """Fused-count execution on caller-owned uniforms.
 
-        The ``"stochastic-batched"`` backend's layer pass: identical
-        math to :meth:`_forward_fused` (batched matmul + vectorized
-        inverse-CDF against the cached quantile tables), but the
-        uniforms driving the count sampler come from the *caller* —
-        either ``uniforms`` (a :class:`~repro.sc.binomial.DrawBatch`
-        pre-drawn for the whole shard pass, one ``Generator.random``
-        call total) or ``rng`` (one draw per layer pass). The sampled
-        counts are bit-identical for the same generator either way (the
-        DrawBatch slices are the same doubles the per-pass draws would
+        The ``"stochastic-batched"`` backend's layer pass: the same
+        blocked pass as :meth:`_forward_fused`, but the uniforms driving
+        the count sampler come from the *caller* — either ``uniforms``
+        (a :class:`~repro.sc.binomial.DrawBatch` pre-drawn for the whole
+        shard pass, one ``Generator.random`` call total) or ``rng``
+        (drawn block by block; the layer generator when omitted). The
+        sampled counts are bit-identical for the same generator either
+        way (the DrawBatch slices are the same doubles the block draws
         produce); only the number of generator invocations changes.
         """
         if self._fused_sampler is None:
@@ -285,50 +327,16 @@ class TiledLinearLayer(RngMixin):
                 f"(approximate_layers={self.module.apc.approximate_layers}); "
                 "use forward_packed for the bit-level path"
             )
-        values, n = self._fused_values(activations, validate)
-        sampler = self._fused_sampler
-        bits = self.config.window_bits
-        gen = self.rng if rng is None else rng
-        if sampler._count_cdf_table(bits) is None:
+        if uniforms is not None and not self.supports_batched_draws():
             # Long-window fallback: Generator.binomial owns its own
             # draws, so batched uniforms cannot apply here.
-            if uniforms is not None:
-                raise ValueError(
-                    "pre-drawn uniforms require cached CDF tables; check "
-                    "supports_batched_draws() before building a DrawBatch"
-                )
-            counts = gen.binomial(bits, sampler._probabilities_from_values(values))
-        else:
-            u = uniforms.take(values.shape) if uniforms is not None else gen.random(
-                values.shape
+            raise ValueError(
+                "pre-drawn uniforms require cached CDF tables; check "
+                "supports_batched_draws() before building a DrawBatch"
             )
-            counts = sampler._sample_counts_for_values(values, bits, u=u)
-        self.n_passes += self.n_row_tiles * self.n_col_tiles
-        self.n_inferences += n
-        return self.module.accumulate_counts(counts)
-
-    def _fused_values(self, activations: np.ndarray, validate=None):
-        """Shared fused-path prologue: ``(K, N, out)`` column values.
-
-        Normalizes and alphabet-checks the batch, zero-pads it to the
-        ``K * Cs`` tile grid, and runs all K row strips against the
-        padded weight block in one batched matmul. Both fused execution
-        paths (:meth:`_forward_fused`, :meth:`forward_fused_batched`)
-        route through here so padding/validation cannot drift between
-        them. Returns ``(values, batch_size)``.
-        """
-        a = self._normalize_activations(activations)
-        check_activation_alphabet(a, self.config, validate)
-        n = a.shape[0]
-        cs = self.config.crossbar_size
-        padded_in = self.n_row_tiles * cs
-        if padded_in != self.in_features:
-            a_pad = np.zeros((n, padded_in), dtype=np.float64)
-            a_pad[:, : self.in_features] = a
-        else:
-            a_pad = a.astype(np.float64, copy=False)
-        strips = a_pad.reshape(n, self.n_row_tiles, cs).transpose(1, 0, 2)
-        return np.ascontiguousarray(strips) @ self._fused_weights, n
+        if uniforms is None:
+            uniforms = self.rng if rng is None else rng
+        return self._fused_pass(activations, validate, uniforms)
 
     def reseed_sampling(self, seed: SeedLike) -> None:
         """Deterministically reseed every sampler in the layer.
@@ -349,21 +357,68 @@ class TiledLinearLayer(RngMixin):
             self._fused_sampler.reseed(int(children[-1]))
 
     def _forward_fused(self, activations: np.ndarray, validate=None) -> np.ndarray:
-        """Fused-count execution: batched matmul + one Binomial draw.
+        """Fused-count execution on the shared sampler's generator."""
+        return self._fused_pass(activations, validate, self._fused_sampler.rng)
 
-        Column values for all K row strips are computed against the
-        padded ``(K, Cs, out)`` weight block in one batched matmul, the
-        ``(K, N, out)`` window counts are drawn through the shared
-        sampler in one call, and the accumulation module compares the
-        summed counts — nothing per-bit is ever materialized.
+    def _strips(self, a: np.ndarray) -> np.ndarray:
+        """``(K, N, Cs)`` row-strip view of a batch, zero-padded to the
+        ``K * Cs`` tile grid (a copy only when the fan-in needs padding;
+        the dtype is kept, so int8 batches stay one byte per element)."""
+        n = a.shape[0]
+        cs = self.config.crossbar_size
+        padded_in = self.n_row_tiles * cs
+        if padded_in != self.in_features:
+            a_pad = np.zeros((n, padded_in), dtype=a.dtype)
+            a_pad[:, : self.in_features] = a
+            a = a_pad
+        return a.reshape(n, self.n_row_tiles, cs).transpose(1, 0, 2)
+
+    def _fused_pass(self, activations: np.ndarray, validate, draws) -> np.ndarray:
+        """The fused-count layer pass, one cache-sized block at a time.
+
+        Every fused caller goes through here: ``forward`` (the sampler's
+        generator), :meth:`forward_batched` (a caller generator or a
+        :class:`~repro.sc.binomial.DrawBatch`) and the grouped shard
+        executor (a pre-drawn ``(K, N, out)`` uniform array). The
+        ``(K, N, out)`` count space is walked in blocks of about
+        ``_FUSED_BLOCK_ELEMENTS`` elements in C order (:func:`fused_blocks`):
+        each block runs its strip matmul, gets its uniforms — drawn from a
+        generator for the block's shape, or sliced from the pre-drawn
+        array — samples its counts through the shared sampler, and adds
+        them into an ``(N, out)`` total, which the accumulation module's
+        comparator decides once at the end. A generator drawn block by
+        block in C order yields the same doubles as one draw of the whole
+        space (the draw-batching contract), so blocking never changes
+        what is sampled; no full-size temporary is ever built.
         """
-        values, n = self._fused_values(activations, validate)
-        counts = self._fused_sampler._sample_counts_for_values(
-            values, self.config.window_bits
-        )
-        self.n_passes += self.n_row_tiles * self.n_col_tiles
+        a = self._normalize_activations(activations)
+        check_activation_alphabet(a, self.config, validate)
+        n = a.shape[0]
+        k_tiles, out = self.n_row_tiles, self.out_features
+        if isinstance(draws, DrawBatch):
+            draws = draws.take((k_tiles, n, out))
+        predrawn = isinstance(draws, np.ndarray)
+        if predrawn and draws.shape != (k_tiles, n, out):
+            raise ValueError(
+                f"pre-drawn uniforms must have shape {(k_tiles, n, out)}, "
+                f"got {draws.shape}"
+            )
+        bits = self.config.window_bits
+        sampler = self._fused_sampler
+        strips = self._strips(a)
+        # Counts are <= L per tile, so totals fit K * L.
+        total = np.zeros((n, out), dtype=np.min_scalar_type(k_tiles * bits))
+        for k0, k1, r0, r1 in fused_blocks(k_tiles, n, out):
+            x = strips[k0:k1, r0:r1].astype(np.float64)
+            values = x @ self._fused_weights[k0:k1]
+            counts = sampler._sample_counts_for_values(
+                values, bits, draws[k0:k1, r0:r1] if predrawn else draws
+            )
+            part = counts[0] if k1 - k0 == 1 else counts.sum(axis=0)
+            np.add(total[r0:r1], part, out=total[r0:r1], casting="unsafe")
+        self.n_passes += k_tiles * self.n_col_tiles
         self.n_inferences += n
-        return self.module.accumulate_counts(counts)
+        return self.module.comparator.compare(total)
 
     def expected_preactivation(self, activations: np.ndarray) -> np.ndarray:
         """Deterministic E[total count] - reference (diagnostic path)."""

@@ -138,7 +138,9 @@ class CrossbarArray(RngMixin):
         # (2 * rows + 1) * cols distinct laws per window length.
         self._count_tables = {}
         self._quant_tables = {}
-        self._col_ids = np.arange(w.shape[1])
+        # Law of (column value v, column c) is row (v + rows) * cols + c
+        # of the flat tables, i.e. v * cols + _law_base[c].
+        self._law_base = self.rows * self.cols + np.arange(self.cols)
 
     # ------------------------------------------------------------------
     @property
@@ -299,46 +301,48 @@ class CrossbarArray(RngMixin):
         if bits < 1:
             raise ValueError(f"window_bits must be >= 1, got {bits}")
         v = self.column_values(activations, validate=validate)
-        return self._sample_counts_for_values(v, bits)
+        # int64 whichever kernel drew the counts (the quantile kernel's
+        # are uint8), so callers' arithmetic on them cannot wrap.
+        return self._sample_counts_for_values(v, bits).astype(np.int64, copy=False)
 
     def _sample_counts_for_values(
-        self, v: np.ndarray, bits: int, u: Optional[np.ndarray] = None
+        self, v: np.ndarray, bits: int, draws=None
     ) -> np.ndarray:
         """Window counts for precomputed integer column values ``v``.
 
-        ``v`` may carry extra leading axes (the tiled layer batches all
-        its row strips through one call); its last axis must be columns.
-        ``u`` optionally supplies the uniforms (shape of ``v``, in
-        ``[0, 1)``) so a caller can own the randomness — the batched
-        backend and the grouped shard executor pass pre-drawn batches
-        here; without it the sampler draws from its own generator,
-        exactly as before. The inverse-CDF math itself lives in
-        :mod:`repro.sc.binomial`.
+        ``v`` may carry extra leading axes (the tiled layer's fused pass
+        hands over one block of its ``(K, N, out)`` value space at a
+        time); its last axis must be columns. ``draws`` is where the
+        randomness comes from: a generator (default: the sampler's own),
+        drawn here for ``v``'s shape, or an array of pre-drawn uniforms
+        in ``[0, 1)`` of ``v``'s shape. The inverse-CDF math itself lives
+        in :mod:`repro.sc.binomial`.
         """
+        if draws is None:
+            draws = self.rng
+        predrawn = isinstance(draws, np.ndarray)
         cdf = self._count_cdf_table(bits)
         if cdf is None:
-            if u is not None:
+            if predrawn:
                 raise ValueError(
                     "pre-drawn uniforms require the cached inverse-CDF "
                     "tables; this geometry/window falls back to "
                     "Generator.binomial (see supports_batched_draws)"
                 )
-            return self.rng.binomial(bits, self._probabilities_from_values(v))
+            return draws.binomial(bits, self._probabilities_from_values(v))
+        u = draws if predrawn else draws.random(v.shape)
         # Column values of valid activations are exactly integral floats,
         # so truncation is exact; with validation disabled, garbage is
         # clamped to the saturated laws instead of wrapping into another
-        # row's CDF.
+        # row's CDF. The signed value indexes the laws directly: the
+        # +rows offset is folded into the per-column law base.
         idx = v.astype(np.intp)
-        idx += self.rows
-        np.clip(idx, 0, 2 * self.rows, out=idx)
+        np.minimum(idx, self.rows, out=idx)
+        np.maximum(idx, -self.rows, out=idx)
         quant = self._count_quant_table(bits)
         if quant is None:
-            if u is None:
-                u = self.rng.random(idx.shape)
-            return counts_by_search(cdf, idx, u, self._col_ids)
-        if u is None:
-            u = self.rng.random(idx.shape)
-        return counts_by_quantile(quant, cdf, idx, u, self._col_ids)
+            return counts_by_search(cdf, idx, u, self._law_base)
+        return counts_by_quantile(quant, cdf, idx, u, self._law_base)
 
     def ideal_sign_output(self, activations) -> np.ndarray:
         """Noise-free reference: sign of the column value vs threshold."""

@@ -393,9 +393,10 @@ class _FusedChainDraws:
     seed -> per-layer children (one vectorized draw, as in
     :func:`seed_shard`) -> per-layer tile children -> the fused
     sampler's seed (the *last* child, as in
-    ``TiledLinearLayer.reseed_sampling``). Each fused generator makes
-    exactly one ``.random(shape)`` call per serial layer pass, so
-    building it on demand and drawing once reproduces the stream.
+    ``TiledLinearLayer.reseed_sampling``). Each fused generator serves
+    one serial layer pass — drawn block by block in C order, the same
+    doubles as one ``.random(shape)`` call — so building it on demand
+    and drawing once reproduces the stream.
     """
 
     def __init__(self, layers, seed: int) -> None:
@@ -473,22 +474,19 @@ def run_stages_group(
 
         ``rows_scale`` maps shard rows to rows of ``flat`` (the conv
         ``positions`` factor); shard blocks are contiguous along the
-        batch axis, so the per-shard uniforms concatenate there.
+        batch axis, so the per-shard uniforms concatenate there and the
+        layer's blocked pass slices the result block by block.
         """
-        values, _count = layer._fused_values(flat, validate)
-        k = values.shape[0]
-        out = values.shape[-1]
+        k, out = layer.n_row_tiles, layer.out_features
         pieces = [
             src.take(layer_index, (k, rows * rows_scale, out))
             for src, rows in zip(sources, row_counts)
         ]
         u = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-        counts = layer._fused_sampler._sample_counts_for_values(
-            values, layer.config.window_bits, u=u
-        )
-        layer.n_passes += layer.n_row_tiles * layer.n_col_tiles * len(specs)
-        layer.n_inferences += flat.shape[0]
-        return layer.module.accumulate_counts(counts)
+        result = layer._fused_pass(flat, validate, u)
+        # One pass per shard, as serial per-shard execution counts them.
+        layer.n_passes += layer.n_row_tiles * layer.n_col_tiles * (len(specs) - 1)
+        return result
 
     for index, stage in enumerate(network.stages):
         t0 = time.perf_counter()

@@ -4,19 +4,21 @@ The fused count path of the crossbar simulator reduces every stochastic
 layer pass to "draw exact ``Binomial(L, p)`` counts for a tensor of
 precomputed laws". This module owns that math as pure functions over
 cached tables, decoupled from the hardware objects, so the same kernel
-serves three callers without drift:
+serves every caller without drift:
 
-* :class:`~repro.hardware.crossbar.CrossbarArray` — the serial per-pass
-  path (draws its uniforms from the sampler's own generator);
-* :meth:`~repro.hardware.accelerator.TiledLinearLayer.forward_batched`
-  (the ``"stochastic-batched"`` backend) — uniforms come from the
-  *caller's* generator, optionally pre-drawn for a whole shard pass via
-  :class:`DrawBatch` (one ``Generator.random`` call per shard instead
-  of one per layer pass);
-* the grouped shard executor
-  (:func:`~repro.runtime.plan.run_stages_group`) — per-shard uniforms
-  concatenated along the batch axis and pushed through one vectorized
-  lookup per stage.
+* :meth:`~repro.hardware.crossbar.CrossbarArray.sample_window_counts`
+  — one crossbar's whole ``(N, cols)`` window counts, drawn from the
+  crossbar's own generator;
+* the tiled layer's blocked fused pass
+  (:meth:`~repro.hardware.accelerator.TiledLinearLayer._fused_pass`),
+  which calls the kernel once per cache-sized block of its ``(K, N,
+  out)`` count space. Its uniforms come from the shared sampler's
+  generator (``forward``, the ``"stochastic"`` backend), from the
+  caller's generator or a :class:`DrawBatch` pre-drawn for a whole shard
+  pass (``forward_batched``, the ``"stochastic-batched"`` backend), or
+  from the grouped shard executor
+  (:func:`~repro.runtime.plan.run_stages_group`), which concatenates the
+  per-shard uniforms along the batch axis.
 
 Both count kernels take the uniforms as an argument: who owns the
 randomness is the caller's contract, the inverse-CDF math is shared.
@@ -86,7 +88,12 @@ def counts_by_quantile(
     shape; both are reshaped to ``(laws, ...)`` with ``laws = values *
     cols``); ``idx`` holds the value-row index per element with columns
     on the last axis; ``u`` the uniforms in ``[0, 1)`` of ``idx``'s
-    shape; ``col_ids`` the ``(cols,)`` column indices.
+    shape; ``col_ids`` the ``(cols,)`` per-column law offsets. Element
+    ``(..., c)`` reads law ``idx * cols + col_ids[c]``: with ``col_ids =
+    arange(cols)`` that is row ``idx`` of column ``c``, and a caller can
+    fold a constant row offset into ``col_ids`` instead of adding it to
+    every ``idx`` (the crossbar sampler passes signed column values that
+    way). Returns ``uint8`` counts (``L <= 127``) of ``idx``'s shape.
 
     Unstepped bins return the exact count directly; the rare elements
     whose uniform lands in a stepped bin (a CDF level inside the bin)
@@ -98,19 +105,17 @@ def counts_by_quantile(
     n = cdf.shape[-1] - 1
     cols = col_ids.shape[-1]
     m_bins = quant.shape[-1]
-    bins = (u * m_bins).astype(np.intp)
-    # law = idx * cols + col_ids, folded into the gather index in place.
-    law = idx * cols
-    law += col_ids
-    law *= m_bins
-    law += bins
-    entry = quant.reshape(-1)[law]
-    counts = (entry & 0x7F).astype(np.int64)
-    flagged = entry >= 0x80
-    if flagged.any():
-        cell = idx[flagged] * cols + np.broadcast_to(col_ids, idx.shape)[flagged]
-        rows = cdf.reshape(-1, n + 1)[cell]
-        counts[flagged] = (rows[:, :n] <= u[flagged][:, None]).sum(axis=-1)
+    # law * M + bin, with the M scaling folded into the two offsets.
+    law = idx * (cols * m_bins)
+    law += col_ids * m_bins
+    law += (u * m_bins).astype(np.intp)
+    entry = np.take(quant.reshape(-1), law)
+    counts = entry & 0x7F
+    stepped = np.flatnonzero(entry > 0x7F)
+    if stepped.size:
+        rows = cdf.reshape(-1, n + 1)[law.reshape(-1)[stepped] // m_bins]
+        resolved = (rows[:, :n] <= u.reshape(-1)[stepped][:, None]).sum(axis=-1)
+        counts.reshape(-1)[stepped] = resolved
     return counts
 
 
@@ -125,7 +130,8 @@ def counts_by_search(
     ``count = #{k < L : cdf_k <= u}`` — since each CDF row is sorted,
     the count is found in ``ceil(log2(L))`` gather/compare rounds
     instead of materializing the per-element CDF row. Used when the
-    window is too long for the quantile table.
+    window is too long for the quantile table. ``idx`` and ``col_ids``
+    address laws as in :func:`counts_by_quantile`.
     """
     n = cdf.shape[-1] - 1
     flat = cdf.reshape(-1)
