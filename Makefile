@@ -20,7 +20,8 @@
 # daemon and a 2-replica DaemonRouter (SERVE_REPLICAS) — and writes the
 # latency/saturation rows to BENCH_serving.json; `make docs-sync`
 # asserts docs/PROTOCOL.md + docs/ARCHITECTURE.md against the source
-# constants and docs/ENVIRONMENT.md against ENV_CATALOG (the CI
+# constants, the README backend table against the backend registry,
+# and docs/ENVIRONMENT.md against ENV_CATALOG (the CI
 # docs-sync job); `make check-chaos`
 # runs the fault-injection tier the same way — deterministic worker
 # kills, transport outages, blown deadlines, and poisoned payloads
@@ -141,9 +142,10 @@ perfbench-test:
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples
 
-# Docs drift gate: the PROTOCOL.md / ARCHITECTURE.md tables are parsed
-# and asserted against the source constants they document, and the
-# generated docs/ENVIRONMENT.md must match ENV_CATALOG exactly.
+# Docs drift gate: the PROTOCOL.md / ARCHITECTURE.md tables and the
+# README backend table are parsed and asserted against the source
+# constants and registry they document, and the generated
+# docs/ENVIRONMENT.md must match ENV_CATALOG exactly.
 docs-sync:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_docs_sync.py -q $(PYTEST_EXTRA)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli lint-static --check-env-docs

@@ -75,38 +75,16 @@ def test_perf_tiled_layer_forward(benchmark, pm):
     assert result.shape == (32, 64)
 
 
-def test_perf_tiled_layer_forward_fused_batched(benchmark, pm):
-    """`stochastic-fused-batched` backend: one Generator.binomial draw
-    over the concatenated column tiles (the RNG-bottleneck attack)."""
-    cfg = HardwareConfig(crossbar_size=36, window_bits=8)
-    layer = TiledLinearLayer(cfg, pm((144, 64)), seed=0)
-    activations = pm((32, 144))
-    layer.forward_fused_batched(activations)  # warm caches once
-    result = benchmark(layer.forward_fused_batched, activations)
-    assert result.shape == (32, 64)
-
-
 def test_perf_tiled_layer_forward_batched(benchmark, pm):
-    """The vendored batched-draw kernel (``repro.sc.binomial``): the
-    layer pass on caller-owned uniforms — one ``Generator.random`` call
-    sliced into the vectorized inverse-CDF gather. Same laws as the
-    ``fused_batched`` row above; this row should beat it (table gather
-    vs ``Generator.binomial``)."""
-    from repro.sc.binomial import DrawBatch
-
+    """The ``stochastic-batched`` layer pass: the same blocked fused
+    pass as ``forward``, drawn block by block from a caller's generator
+    instead of the shared sampler's."""
     cfg = HardwareConfig(crossbar_size=36, window_bits=8)
     layer = TiledLinearLayer(cfg, pm((144, 64)), seed=0)
     activations = pm((32, 144))
     layer.forward(activations)  # build cached sampler tables once
-    total = layer.n_row_tiles * activations.shape[0] * layer.out_features
     rng = np.random.default_rng(0)
-
-    def one_pass():
-        return layer.forward_batched(
-            activations, uniforms=DrawBatch(rng, total)
-        )
-
-    result = benchmark(one_pass)
+    result = benchmark(layer.forward_batched, activations, rng=rng)
     assert result.shape == (32, 64)
 
 
@@ -224,12 +202,11 @@ def test_perf_session_adaptive_warm_pool(benchmark, shard_engine):
 
 
 def test_perf_session_serial_batched(benchmark, shard_engine):
-    """The vendored batched-draw kernel (``stochastic-batched``): every
-    uniform a shard will consume hoisted into one ``Generator.random``
-    call, served to the fused inverse-CDF lookup as consecutive slices.
-    Bit-identical to the ``stochastic`` row's sampling; this row should
-    beat it — same math, one RNG invocation per shard instead of one
-    per layer pass."""
+    """The ``stochastic-batched`` backend: the same blocked fused pass
+    as the ``stochastic`` row, drawn from each shard's session generator
+    instead of the layers' sampler generators (a different, equally
+    reproducible stream). Same math and the same number of draws, so it
+    is expected to track the ``stochastic`` row, not beat it."""
     engine, images = shard_engine
     result = _bench_session(benchmark, engine, images, "stochastic-batched")
     assert result.logits.shape == (256, 10)

@@ -11,8 +11,8 @@ This walks the full SupeRBNN pipeline on a small MLP:
 4. open a ``Session`` (owns the RNG state, micro-batches requests) and
    run the same batched request through several execution backends:
    the noise-free ``ideal`` reference, the hardware-default
-   ``stochastic`` dispatch, and the RNG-batched
-   ``stochastic-fused-batched`` fast path,
+   ``stochastic`` dispatch, and ``stochastic-batched``, which draws
+   from the session's own generator,
 5. read the structured ``InferenceResult`` (accuracy, wall time,
    sampled windows) and the hardware cost model (JJs, power, TOPS/W).
 
@@ -54,7 +54,7 @@ def main() -> None:
     # 4. One session, several execution backends ------------------------
     session = engine.session(seed=0)
     print(f"\n{'backend':>26} {'accuracy':>9} {'windows':>9} {'time':>8}")
-    for backend in ("ideal", "stochastic", "stochastic-fused-batched"):
+    for backend in ("ideal", "stochastic", "stochastic-batched"):
         result = session.run(test.images, labels=test.labels, backend=backend)
         print(
             f"{backend:>26} {result.accuracy:>9.3f} "

@@ -10,7 +10,7 @@ Façade over model compilation, execution, and metrics:
   outputs: logits, per-layer window counts, workloads, wall time.
 * backend registry — string-keyed pluggable execution strategies
   (``"ideal"``, ``"stochastic"``, ``"stochastic-dense"``,
-  ``"stochastic-packed"``, ``"stochastic-fused-batched"``,
+  ``"stochastic-packed"``, ``"stochastic-batched"``,
   ``"stochastic-parallel"``); extend via :func:`register_backend`.
 * :class:`~repro.api.parallel.StochasticParallelBackend` — process-pool
   execution of micro-batch shards, bit-identical to serial for the
@@ -50,7 +50,7 @@ Quickstart::
 
     engine = Engine.from_model(trained_model)
     result = engine.run(test.images, labels=test.labels,
-                        backend="stochastic-fused-batched")
+                        backend="stochastic-batched")
     print(result.accuracy, result.wall_time_s, result.total_windows)
 """
 

@@ -30,17 +30,10 @@ First-class backends:
     Legacy per-tile sampling on dense float ``(L, N, cols)`` windows.
 ``"stochastic-packed"``
     Bit-level execution on uint64 bit-plane words (:mod:`repro.sc.packed`).
-``"stochastic-fused-batched"``
-    All column tiles of a stage concatenated into **one**
-    ``Generator.binomial`` draw — one RNG invocation per layer, for the
-    RNG-bound regime of the fused path. Draws from the session's
-    generator, so the :class:`~repro.api.Session` owns the randomness.
 ``"stochastic-batched"``
-    Fused inverse-CDF sampling on caller-owned uniforms: the whole
-    shard's draws are hoisted into **one** ``Generator.random`` call
-    (:meth:`StochasticBatchedBackend.begin_shard`) and served to each
-    layer pass as consecutive slices — bit-identical to per-pass draws
-    from the same session generator, one RNG invocation per *shard*.
+    Fused inverse-CDF sampling drawn from the *session's* shard
+    generator, block by block, instead of the layers' own sampler
+    generators — the :class:`~repro.api.Session` owns the randomness.
 ``"stochastic-parallel"``
     Shard-level strategy (:mod:`repro.api.parallel`, a facade over
     :class:`repro.runtime.scheduler.ShardParallelScheduler`):
@@ -59,13 +52,11 @@ schedulers (:mod:`repro.runtime.scheduler` — ``"serial"``,
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
 from repro.hardware.accelerator import TiledLinearLayer
-from repro.sc.binomial import DrawBatch
 
 _REGISTRY: Dict[str, Type] = {}
 _ALIASES: Dict[str, str] = {}
@@ -244,53 +235,9 @@ class StochasticPackedBackend(ExecutionBackend):
 
 
 @register_backend(
-    "stochastic-fused-batched",
-    summary="one concatenated Generator.binomial draw per layer",
-)
-class StochasticFusedBatchedBackend(ExecutionBackend):
-    def run_layer(self, layer, flat, *, rng, validate=None):
-        return layer.forward_fused_batched(flat, validate=validate, rng=rng)
-
-
-@register_backend(
     "stochastic-batched",
-    summary="caller-owned uniforms, one draw batch per shard pass",
+    summary="fused inverse-CDF counts drawn from the session generator",
 )
 class StochasticBatchedBackend(ExecutionBackend):
-    """Fused inverse-CDF sampling on the *session's* generator, with the
-    whole shard's uniforms pre-drawn in one ``Generator.random`` call.
-
-    :func:`repro.runtime.plan.run_stages` hands the backend the
-    micro-batch via :meth:`begin_shard` before the stage walk; the
-    backend sizes a :class:`~repro.sc.binomial.DrawBatch` for every
-    uniform the shard will consume and serves consecutive slices to
-    each layer pass — bit-identical to drawing per pass from the same
-    generator (the draw-batching contract), but one RNG invocation per
-    shard instead of one per layer. Geometries the fused tables cannot
-    serve (no fused sampler, very long windows) fall back to per-pass
-    draws from the shard generator automatically.
-
-    The instance is a cached singleton shared across sessions; the
-    in-flight draw batch is thread-local, so concurrent sessions (the
-    serving tier's threads) never see each other's uniforms.
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def begin_shard(self, network, x, rng) -> None:
-        # Function-scoped import: repro.api.backends sits *below*
-        # repro.runtime in the layering contract; only module-scope
-        # imports count against it.
-        from repro.runtime.plan import batched_draw_elements
-
-        total = batched_draw_elements(network, x.shape[1:], x.shape[0])
-        self._local.draws = DrawBatch(rng, total) if total is not None else None
-
     def run_layer(self, layer, flat, *, rng, validate=None):
-        return layer.forward_batched(
-            flat,
-            validate=validate,
-            rng=rng,
-            uniforms=getattr(self._local, "draws", None),
-        )
+        return layer.forward_batched(flat, validate=validate, rng=rng)

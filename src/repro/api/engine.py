@@ -80,7 +80,8 @@ class Session:
     other sessions on the same engine ran in between (the layers are
     engine-shared; re-establishing the state at run entry is what makes
     the ownership real). Backends that draw from the session directly
-    (``"stochastic-fused-batched"``) use the same generator.
+    (``"stochastic-batched"``) draw from each shard's generator, derived
+    from the same seed.
     ``seed=None`` continues the compile-time RNG streams untouched.
 
     Requests of any batch size are accepted; the session splits them
@@ -443,7 +444,7 @@ class Engine:
 
         engine = Engine.from_model(trained_model)
         result = engine.run(test.images, labels=test.labels,
-                            backend="stochastic-fused-batched")
+                            backend="stochastic-batched")
         print(result.accuracy, result.wall_time_s)
     """
 

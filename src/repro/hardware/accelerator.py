@@ -20,10 +20,10 @@ execution paths per column tile:
   each block's counts into an ``(N, out)`` total. Exactly
   distribution-equivalent. Its callers are ``forward`` (the sampler's
   generator), :meth:`TiledLinearLayer.forward_batched` (a caller
-  generator or a :class:`~repro.sc.binomial.DrawBatch`) and the grouped
-  shard executor (:func:`repro.runtime.plan.run_stages_group`, a
-  pre-drawn uniform array); all get the same counts from the same
-  uniforms, block boundaries notwithstanding.
+  generator) and the grouped shard executor
+  (:func:`repro.runtime.plan.run_stages_group`, a pre-drawn uniform
+  array); all get the same counts from the same uniforms, block
+  boundaries notwithstanding.
 * **Bit-level** (``approximate_layers > 0``): the OR-compressed APC
   needs individual bit coincidences, so tiles emit bit-packed windows
   (uint64 words, 64 clocks per word) that the module counts with
@@ -40,7 +40,6 @@ import numpy as np
 from repro.hardware.config import HardwareConfig
 from repro.hardware.crossbar import CrossbarArray, check_activation_alphabet
 from repro.sc.accumulate import ScAccumulationModule
-from repro.sc.binomial import DrawBatch
 from repro.utils.rng import RngMixin, SeedLike
 
 #: Elements of the ``(K, N, out)`` count space one step of the fused
@@ -256,46 +255,14 @@ class TiledLinearLayer(RngMixin):
         self.n_inferences += n
         return np.concatenate(outputs, axis=-1)
 
-    def forward_fused_batched(
-        self,
-        activations: np.ndarray,
-        validate=None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Fused-count execution with one concatenated Binomial draw.
-
-        The column values of every row strip are computed in one batched
-        matmul over the whole ``(K, N, out)`` space, and the window
-        counts come from a *single* ``Generator.binomial`` call over the
-        concatenated tiles instead of per-table inverse-CDF gathers — the
-        whole layer costs one RNG invocation. ``rng`` lets a
-        :class:`repro.api.Session` supply its own generator so it owns
-        the stochastic state end to end.
-        """
-        if self._fused_sampler is None:
-            raise ValueError(
-                "forward_fused_batched requires an exact APC "
-                f"(approximate_layers={self.module.apc.approximate_layers}); "
-                "use forward_packed for the bit-level path"
-            )
-        a = self._normalize_activations(activations)
-        check_activation_alphabet(a, self.config, validate)
-        n = a.shape[0]
-        values = self._strips(a).astype(np.float64) @ self._fused_weights
-        probabilities = self._fused_sampler._probabilities_from_values(values)
-        gen = self.rng if rng is None else rng
-        counts = gen.binomial(self.config.window_bits, probabilities)
-        self.n_passes += self.n_row_tiles * self.n_col_tiles
-        self.n_inferences += n
-        return self.module.accumulate_counts(counts)
-
     def supports_batched_draws(self) -> bool:
-        """Whether :meth:`forward_batched` can take pre-drawn uniforms.
+        """Whether :meth:`_fused_pass` can take pre-drawn uniforms.
 
         True when the fused path is active *and* the window is short
         enough for the cached inverse-CDF tables — the
         ``Generator.binomial`` fallback for very long windows cannot
-        consume caller-supplied uniforms.
+        consume caller-supplied uniforms, so the grouped shard executor
+        checks this before pre-drawing.
         """
         return (
             self._fused_sampler is not None
@@ -307,19 +274,14 @@ class TiledLinearLayer(RngMixin):
         activations: np.ndarray,
         validate=None,
         rng: Optional[np.random.Generator] = None,
-        uniforms: Optional[DrawBatch] = None,
     ) -> np.ndarray:
-        """Fused-count execution on caller-owned uniforms.
+        """Fused-count execution on a caller-owned generator.
 
         The ``"stochastic-batched"`` backend's layer pass: the same
         blocked pass as :meth:`_forward_fused`, but the uniforms driving
-        the count sampler come from the *caller* — either ``uniforms``
-        (a :class:`~repro.sc.binomial.DrawBatch` pre-drawn for the whole
-        shard pass, one ``Generator.random`` call total) or ``rng``
-        (drawn block by block; the layer generator when omitted). The
-        sampled counts are bit-identical for the same generator either
-        way (the DrawBatch slices are the same doubles the block draws
-        produce); only the number of generator invocations changes.
+        the count sampler are drawn block by block from ``rng`` (the
+        layer generator when omitted) instead of the shared sampler's
+        generator, so a :class:`repro.api.Session` owns the randomness.
         """
         if self._fused_sampler is None:
             raise ValueError(
@@ -327,16 +289,7 @@ class TiledLinearLayer(RngMixin):
                 f"(approximate_layers={self.module.apc.approximate_layers}); "
                 "use forward_packed for the bit-level path"
             )
-        if uniforms is not None and not self.supports_batched_draws():
-            # Long-window fallback: Generator.binomial owns its own
-            # draws, so batched uniforms cannot apply here.
-            raise ValueError(
-                "pre-drawn uniforms require cached CDF tables; check "
-                "supports_batched_draws() before building a DrawBatch"
-            )
-        if uniforms is None:
-            uniforms = self.rng if rng is None else rng
-        return self._fused_pass(activations, validate, uniforms)
+        return self._fused_pass(activations, validate, self.rng if rng is None else rng)
 
     def reseed_sampling(self, seed: SeedLike) -> None:
         """Deterministically reseed every sampler in the layer.
@@ -377,9 +330,9 @@ class TiledLinearLayer(RngMixin):
         """The fused-count layer pass, one cache-sized block at a time.
 
         Every fused caller goes through here: ``forward`` (the sampler's
-        generator), :meth:`forward_batched` (a caller generator or a
-        :class:`~repro.sc.binomial.DrawBatch`) and the grouped shard
-        executor (a pre-drawn ``(K, N, out)`` uniform array). The
+        generator), :meth:`forward_batched` (a caller generator) and the
+        grouped shard executor (a pre-drawn ``(K, N, out)`` uniform
+        array). The
         ``(K, N, out)`` count space is walked in blocks of about
         ``_FUSED_BLOCK_ELEMENTS`` elements in C order (:func:`fused_blocks`):
         each block runs its strip matmul, gets its uniforms — drawn from a
@@ -388,15 +341,13 @@ class TiledLinearLayer(RngMixin):
         them into an ``(N, out)`` total, which the accumulation module's
         comparator decides once at the end. A generator drawn block by
         block in C order yields the same doubles as one draw of the whole
-        space (the draw-batching contract), so blocking never changes
-        what is sampled; no full-size temporary is ever built.
+        space (the session-generator draw contract), so blocking never
+        changes what is sampled; no full-size temporary is ever built.
         """
         a = self._normalize_activations(activations)
         check_activation_alphabet(a, self.config, validate)
         n = a.shape[0]
         k_tiles, out = self.n_row_tiles, self.out_features
-        if isinstance(draws, DrawBatch):
-            draws = draws.take((k_tiles, n, out))
         predrawn = isinstance(draws, np.ndarray)
         if predrawn and draws.shape != (k_tiles, n, out):
             raise ValueError(

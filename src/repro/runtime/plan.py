@@ -51,7 +51,6 @@ from repro.mapping.compiler import (
     ThermometerStage,
 )
 from repro.mapping.tiling import conv_output_geometry
-from repro.sc.binomial import DrawBatch
 from repro.utils.rng import new_rng
 
 _INT8_ONE = np.int8(1)
@@ -177,8 +176,8 @@ def seed_shard(
     network: CompiledNetwork, seed: Optional[int]
 ) -> np.random.Generator:
     """Pin every sampler in ``network`` for one shard; returns the shard
-    generator (backends that draw directly, like
-    ``"stochastic-fused-batched"``, consume it after the reseed).
+    generator (backends that draw from it directly, like
+    ``"stochastic-batched"``, consume it after the reseed).
 
     The derivation is pure: shard seed -> per-layer children -> per-tile
     children, so any process holding an equivalent copy of the network
@@ -219,13 +218,6 @@ def run_stages(
     merge = bool(telemetry)
     deterministic = getattr(strategy, "deterministic", False)
     n = x.shape[0]
-    # Shard-scoped backend setup: a strategy exposing ``begin_shard``
-    # (the ``"stochastic-batched"`` backend) gets one look at the whole
-    # micro-batch before the stage walk — where it pre-draws every
-    # uniform the shard will consume in a single generator call.
-    begin = getattr(strategy, "begin_shard", None)
-    if begin is not None:
-        begin(network, x, rng)
     trusted = False
     for index, stage in enumerate(network.stages):
         t0 = time.perf_counter()
@@ -325,45 +317,6 @@ def run_stages(
 GROUP_VECTOR_BACKENDS = frozenset({"stochastic", "stochastic-batched"})
 
 
-def batched_draw_elements(
-    network: CompiledNetwork, input_shape, rows: int
-) -> Optional[int]:
-    """Total uniforms one ``rows``-row shard consumes across the plan.
-
-    The ``"stochastic-batched"`` backend sizes its per-shard
-    :class:`~repro.sc.binomial.DrawBatch` with this: one fused crossbar
-    pass draws ``n_row_tiles * rows * positions * out_features``
-    uniforms (the column-value tensor's element count). Returns None
-    when any crossbar stage cannot take pre-drawn uniforms (no fused
-    sampler, or a window too long for the cached CDF tables) — callers
-    then fall back to per-pass draws.
-
-    The count is linear in ``rows``, and the geometry walk costs more
-    than a shard pass can afford when repeated per shard, so the
-    per-row total is memoized on the network (keyed by ``input_shape``;
-    compiled pipelines are structurally immutable, and whether a layer
-    supports batched draws is a function of its fixed geometry).
-    """
-    key = tuple(int(d) for d in input_shape)
-    cache = getattr(network, "_draw_elements_per_row", None)
-    if cache is None:
-        cache = network._draw_elements_per_row = {}
-    if key not in cache:
-        per_row: Optional[int] = 0
-        for kind, positions, layer in _stage_geometry(network, key):
-            if layer is None:
-                continue
-            if not layer.supports_batched_draws():
-                per_row = None
-                break
-            per_row += layer.n_row_tiles * positions * layer.out_features
-        cache[key] = per_row
-    per_row = cache[key]
-    if per_row is None:
-        return None
-    return per_row * rows
-
-
 def group_vectorizable(network, strategy, shards=None) -> bool:
     """Whether :func:`run_stages_group` can execute shards of this
     network under ``strategy`` in one stage-major vectorized pass.
@@ -418,20 +371,18 @@ class _BatchedChainDraws:
     """Per-shard uniforms for the ``"stochastic-batched"`` backend.
 
     Serial chain: ``seed_shard`` burns one vectorized child-seed draw on
-    the shard generator, then ``begin_shard`` pre-draws the whole
-    shard's uniforms in one ``random(total)`` call. Consecutive slices
-    of that call are bit-identical to the per-stage draws (the
-    :class:`DrawBatch` contract).
+    the shard generator, then every layer pass draws from that same
+    generator in stage order. Each layer's pieces are taken in that
+    order too, so one ``.random(shape)`` per layer reproduces the
+    block-by-block draws of the serial passes.
     """
 
-    def __init__(self, network, layers, seed: int, input_shape, rows: int) -> None:
-        rng = new_rng(seed)
-        rng.integers(0, 2**63 - 1, size=len(layers))  # seed_shard's draw
-        total = batched_draw_elements(network, input_shape, rows)
-        self._draws = DrawBatch(rng, total)
+    def __init__(self, layers, seed: int) -> None:
+        self._rng = new_rng(seed)
+        self._rng.integers(0, 2**63 - 1, size=len(layers))  # seed_shard's draw
 
     def take(self, layer_index: int, shape) -> np.ndarray:
-        return self._draws.take(shape)
+        return self._rng.random(shape)
 
 
 def run_stages_group(
@@ -454,14 +405,8 @@ def run_stages_group(
     layers = network.tiled_layers
     specs = specs_list(shard_specs)
     n = x.shape[0]
-    input_shape = x.shape[1:]
-    if name == "stochastic":
-        sources = [_FusedChainDraws(layers, seed) for seed, _, _ in specs]
-    else:
-        sources = [
-            _BatchedChainDraws(network, layers, seed, input_shape, stop - start)
-            for seed, start, stop in specs
-        ]
+    chain = _FusedChainDraws if name == "stochastic" else _BatchedChainDraws
+    sources = [chain(layers, seed) for seed, _, _ in specs]
 
     telemetry: List[List[LayerTelemetry]] = [[] for _ in specs]
     row_counts = [stop - start for _, start, stop in specs]

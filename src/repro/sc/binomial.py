@@ -1,4 +1,4 @@
-"""Vendored vectorized Binomial sampling kernels (inverse-CDF, batched draws).
+"""Vendored vectorized Binomial sampling kernels (inverse-CDF count lookups).
 
 The fused count path of the crossbar simulator reduces every stochastic
 layer pass to "draw exact ``Binomial(L, p)`` counts for a tensor of
@@ -12,25 +12,25 @@ serves every caller without drift:
 * the tiled layer's blocked fused pass
   (:meth:`~repro.hardware.accelerator.TiledLinearLayer._fused_pass`),
   which calls the kernel once per cache-sized block of its ``(K, N,
-  out)`` count space. Its uniforms come from the shared sampler's
-  generator (``forward``, the ``"stochastic"`` backend), from the
-  caller's generator or a :class:`DrawBatch` pre-drawn for a whole shard
-  pass (``forward_batched``, the ``"stochastic-batched"`` backend), or
-  from the grouped shard executor
+  out)`` count space. Its uniforms are drawn block by block from the
+  shared sampler's generator (``forward``, the ``"stochastic"``
+  backend) or from the caller's generator (``forward_batched``, the
+  ``"stochastic-batched"`` backend, which passes the session's shard
+  generator), or come pre-drawn from the grouped shard executor
   (:func:`~repro.runtime.plan.run_stages_group`), which concatenates the
   per-shard uniforms along the batch axis.
 
 Both count kernels take the uniforms as an argument: who owns the
 randomness is the caller's contract, the inverse-CDF math is shared.
 
-Draw-batching contract
-----------------------
+Session-generator draws
+-----------------------
 ``numpy``'s ``Generator.random`` fills its output from a sequential
-uniform stream in C order, so one ``random(total)`` call sliced into
-consecutive pieces yields *bit-identical* doubles to a sequence of
-smaller ``random(shape)`` calls on the same generator. That identity is
-what lets :class:`DrawBatch` hoist every layer's uniforms into a single
-generator invocation per shard without changing a single sampled count
+uniform stream in C order, so a sequence of ``random(shape)`` calls on
+one generator yields *bit-identical* doubles to one ``random(total)``
+call sliced into consecutive pieces. That identity is what lets the
+fused pass draw block by block, and the grouped executor draw a shard's
+layers one after another, without changing a single sampled count
 (covered by ``tests/test_sc_binomial.py``).
 """
 
@@ -149,55 +149,3 @@ def counts_by_search(
         pos += np.where((cand <= n) & (levels <= u), b, 0)
         b >>= 1
     return pos
-
-
-class DrawBatch:
-    """Uniforms for a whole shard pass, pre-drawn in one generator call.
-
-    Construction draws ``rng.random(total)`` once; each :meth:`take`
-    serves the next consecutive slice reshaped to the requested shape.
-    Because ``Generator.random`` fills from a sequential stream in C
-    order, the served slices are bit-identical to the per-layer
-    ``rng.random(shape)`` calls they replace (same generator, same
-    order) — batching changes *when* the uniforms are drawn, never
-    *what* they are.
-    """
-
-    __slots__ = ("_u", "_pos")
-
-    def __init__(self, rng: np.random.Generator, total: int) -> None:
-        total = int(total)
-        if total < 0:
-            raise ValueError(f"total must be >= 0, got {total}")
-        self._u = rng.random(total)
-        self._pos = 0
-
-    @property
-    def total(self) -> int:
-        return self._u.size
-
-    @property
-    def consumed(self) -> int:
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return self._u.size - self._pos
-
-    def take(self, shape) -> np.ndarray:
-        """The next ``prod(shape)`` uniforms, reshaped to ``shape``."""
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        end = self._pos + size
-        if end > self._u.size:
-            raise ValueError(
-                f"draw batch exhausted: need {size} uniforms for {tuple(shape)}, "
-                f"have {self._u.size - self._pos} of {self._u.size} left"
-            )
-        out = self._u[self._pos : end].reshape(shape)
-        self._pos = end
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<DrawBatch {self._pos}/{self._u.size} consumed>"

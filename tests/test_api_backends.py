@@ -1,4 +1,5 @@
-"""Backend equivalence: ideal is bit-exact, fused-batched is
+"""Backend equivalence: ideal is bit-exact, the fused count law (and
+the session-generator ``stochastic-batched`` backend built on it) is
 distribution-equivalent to the legacy dense sampling path."""
 
 import numpy as np
@@ -42,8 +43,11 @@ class TestIdealBackendExactness:
 
 
 class TestFusedBatchedDistributionEquivalence:
-    """The fused-batched Binomial draw must be distribution-equivalent
-    to the legacy dense per-tile sampling, column by column."""
+    """The fused Binomial count law (drawn here with
+    ``Generator.binomial``, as the long-window fallback does), and the
+    fused pass of the ``stochastic-batched`` backend, must be
+    distribution-equivalent to the legacy dense per-tile sampling,
+    column by column."""
 
     def _window_count_moments(self, layer, activations, n_repeats, sampler):
         """Empirical mean/std of the summed window counts per column.
@@ -136,7 +140,7 @@ class TestFusedBatchedDistributionEquivalence:
     def test_pm_outputs_and_shapes(self, tiled_layer):
         rng = new_rng(6)
         flat = pm(rng, (24, 20))
-        backend = get_backend("stochastic-fused-batched")
+        backend = get_backend("stochastic-batched")
         out = backend.run_layer(tiled_layer, flat, rng=new_rng(7))
         assert out.shape == (24, 12)
         assert set(np.unique(out)) <= {-1.0, 1.0}
@@ -149,7 +153,7 @@ class TestFusedBatchedDistributionEquivalence:
         activations = np.repeat(row, 32, axis=0)
         n_repeats = 60
         dense_backend = get_backend("stochastic-dense")
-        fused_backend = get_backend("stochastic-fused-batched")
+        fused_backend = get_backend("stochastic-batched")
         fused_rng = new_rng(9)
         dense = np.mean(
             [
@@ -176,7 +180,7 @@ class TestFusedBatchedDistributionEquivalence:
             cfg, pm(rng, (16, 8)), seed=0, approximate_layers=1
         )
         with pytest.raises(ValueError, match="exact APC"):
-            layer.forward_fused_batched(pm(rng, (4, 16)))
+            layer.forward_batched(pm(rng, (4, 16)))
 
 
 class TestPackedAndDenseBackends:
@@ -208,7 +212,7 @@ class TestPackedAndDenseBackends:
         before = layer.n_passes
         layer.forward_dense(flat)
         layer.forward_packed(flat)
-        layer.forward_fused_batched(flat)
+        layer.forward_batched(flat)
         assert layer.n_passes == before + 3 * layer.n_row_tiles * layer.n_col_tiles
         assert layer.n_inferences >= 12
 
@@ -219,7 +223,7 @@ class TestReseedSampling:
         rng = new_rng(13)
         flat = pm(rng, (16, 20))
         for method in ("forward_dense", "forward_packed", "forward",
-                       "forward_fused_batched"):
+                       "forward_batched"):
             layer.reseed_sampling(42)
             a = getattr(layer, method)(flat)
             layer.reseed_sampling(42)

@@ -19,7 +19,7 @@ from repro.mapping.executor import evaluate_accuracy, network_workloads, run_net
 from tests.test_mapping_compiler import quick_mlp, quick_vgg  # noqa: F401  (fixtures)
 
 ALL_STOCHASTIC = ("stochastic", "stochastic-dense", "stochastic-packed",
-                  "stochastic-fused-batched")
+                  "stochastic-batched")
 FIRST_CLASS = ("ideal",) + ALL_STOCHASTIC[1:]
 
 
@@ -145,8 +145,8 @@ class TestSessionSemantics:
         model, _, test = quick_mlp
         engine = Engine.from_model(model)
         images = test.images[:64]
-        a = engine.session(seed=1).run(images, backend="stochastic-fused-batched")
-        b = engine.session(seed=2).run(images, backend="stochastic-fused-batched")
+        a = engine.session(seed=1).run(images, backend="stochastic-batched")
+        b = engine.session(seed=2).run(images, backend="stochastic-batched")
         assert not np.array_equal(a.logits, b.logits)
 
     def test_micro_batching_invariant_for_ideal(self, quick_mlp):
@@ -237,7 +237,7 @@ class TestBackendRegistry:
     def test_first_class_backends_registered(self):
         names = available_backends()
         for expected in ("ideal", "stochastic", "stochastic-dense",
-                         "stochastic-packed", "stochastic-fused-batched"):
+                         "stochastic-packed", "stochastic-batched"):
             assert expected in names
 
     def test_aliases_resolve(self):

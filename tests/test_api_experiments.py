@@ -97,7 +97,7 @@ class TestCliRun:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "stochastic-fused-batched" in out
+        assert "stochastic-batched" in out
 
     def test_override_parsing_rejects_garbage(self):
         from repro.cli import main

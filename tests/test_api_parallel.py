@@ -118,10 +118,10 @@ class TestParallelDeterminism:
     def test_inner_backend_configurable(self, small_engine, request_data):
         images, _ = request_data
         serial = small_engine.session(seed=9).run(
-            images, backend="stochastic-fused-batched"
+            images, backend="stochastic-batched"
         )
         with StochasticParallelBackend(
-            workers=2, inner="stochastic-fused-batched"
+            workers=2, inner="stochastic-batched"
         ) as backend:
             parallel = small_engine.session(seed=9, backend=backend).run(images)
         np.testing.assert_array_equal(parallel.logits, serial.logits)
@@ -339,7 +339,7 @@ class TestEngineFixes:
             small_engine.session().run_many([images[:8]], labels=[labels[:8], None])
 
     def test_stateless_backends_cached(self):
-        for name in ("ideal", "stochastic", "stochastic-fused-batched"):
+        for name in ("ideal", "stochastic", "stochastic-batched"):
             assert get_backend(name) is get_backend(name), name
         assert get_backend("exact") is get_backend("ideal")
 

@@ -1,7 +1,7 @@
-"""Docs-sync tier: the human-readable contracts in ``docs/`` are
-parsed and asserted against the source constants they document, so the
-wire-protocol tables and the architecture layer table cannot drift
-from the code. Runs in the ``docs-sync`` CI job alongside
+"""Docs-sync tier: the human-readable contracts in ``docs/`` (and the
+README's backend table) are parsed and asserted against the source
+constants they document, so the wire-protocol tables, the architecture
+layer table and the backend listing cannot drift from the code. Runs in the ``docs-sync`` CI job alongside
 ``lint-static --check-env-docs``."""
 
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.rules.layering import LAYERS
+from repro.api import available_backends, backend_aliases
 from repro.net import protocol
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -157,3 +158,25 @@ class TestDocsIndex:
         readme = (DOCS.parent / "README.md").read_text(encoding="utf-8")
         for target in ("docs/PROTOCOL.md", "docs/ARCHITECTURE.md"):
             assert target in readme, f"README.md must reference {target}"
+
+
+class TestReadmeBackends:
+    @pytest.fixture(scope="class")
+    def readme(self):
+        return (DOCS.parent / "README.md").read_text(encoding="utf-8")
+
+    def test_backend_table_matches_registry(self, readme):
+        rows = _table_rows(readme, "backend | what it does")
+        documented = sorted(_code(row[0]) for row in rows)
+        assert documented == available_backends(), (
+            "README.md's execution-backend table must list exactly "
+            "available_backends(), each once"
+        )
+
+    def test_alias_sentence_matches_registry(self, readme):
+        match = re.search(r"(.+?) are accepted aliases of (.+?);", readme)
+        assert match, "README.md must state the backend aliases"
+        aliases = re.findall(r"`([^`]+)`", match.group(1))
+        targets = re.findall(r"`([^`]+)`", match.group(2))
+        assert dict(zip(aliases, targets)) == backend_aliases()
+        assert len(aliases) == len(targets)

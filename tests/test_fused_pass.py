@@ -8,9 +8,10 @@ whole tensor. Two guarantees:
   whole row-tile slabs, row ranges inside one slab, a ragged last block,
   N = 0 — the blocked pass returns exactly the activations of the
   whole-tensor reference (one matmul, one ``counts_by_quantile`` call,
-  one K-axis sum) on the same uniforms, for all three uniform sources:
-  a generator drawn block by block, a ``DrawBatch``, and the grouped
-  executor's concatenated per-shard pieces.
+  one K-axis sum) on the same uniforms, for every uniform source: a
+  caller's generator drawn block by block (also across consecutive
+  passes), the sampler's own generator, and the grouped executor's
+  concatenated per-shard pieces.
 * **What is drawn does not drift across commits.** A small VGG-shaped
   network built from seeded random weights (no training) has its logits
   pinned by digest under ``stochastic``, ``stochastic-batched`` and
@@ -41,7 +42,7 @@ from repro.mapping.compiler import (
     SignStage,
 )
 from repro.runtime.plan import _BatchedChainDraws, _FusedChainDraws, run_stages_group
-from repro.sc.binomial import QUANT_BINS, DrawBatch, counts_by_quantile
+from repro.sc.binomial import QUANT_BINS, counts_by_quantile
 from repro.utils.rng import new_rng
 
 
@@ -176,15 +177,14 @@ class TestBlockedPassMatchesReference:
         u = np.random.default_rng(23).random(space(layer, x.shape[0]))
         np.testing.assert_array_equal(layer.forward(x), reference_pass(layer, x, u))
 
-    def test_drawbatch_source(self, name):
+    def test_generator_spans_passes(self, name):
         layer, x = self._case(name)
         shape = space(layer, x.shape[0])
-        draws = DrawBatch(np.random.default_rng(19), 2 * int(np.prod(shape)))
+        gen = np.random.default_rng(19)
         u = np.random.default_rng(19).random((2,) + shape)
-        for u_pass in u:  # two passes: the second starts mid-batch
-            got = layer.forward_batched(x, uniforms=draws)
+        for u_pass in u:  # two passes: the second starts mid-stream
+            got = layer.forward_batched(x, rng=gen)
             np.testing.assert_array_equal(got, reference_pass(layer, x, u_pass))
-        assert draws.remaining == 0
 
     @pytest.mark.parametrize("backend", ["stochastic", "stochastic-batched"])
     def test_grouped_executor_source(self, name, backend):
@@ -205,9 +205,7 @@ class TestBlockedPassMatchesReference:
             if backend == "stochastic":
                 source = _FusedChainDraws(network.tiled_layers, seed)
             else:
-                source = _BatchedChainDraws(
-                    network, network.tiled_layers, seed, x.shape[1:], stop - start
-                )
+                source = _BatchedChainDraws(network.tiled_layers, seed)
             want = reference_pass(layer, x[start:stop], source.take(0, shape))
             np.testing.assert_array_equal(logits, head.logits(want))
 
@@ -259,11 +257,11 @@ class TestPassEdges:
 
     def test_alphabet_checked_before_any_draw(self):
         layer = layer_for(100, 40)
-        draws = DrawBatch(np.random.default_rng(3), 7 * 4 * 40)
+        gen = np.random.default_rng(3)
         bad = np.full((4, 100), 0.5)
         with pytest.raises(ValueError, match="activations"):
-            layer.forward_batched(bad, uniforms=draws)
-        assert draws.consumed == 0
+            layer.forward_batched(bad, rng=gen)
+        np.testing.assert_array_equal(gen.random(4), np.random.default_rng(3).random(4))
 
     def test_predrawn_shape_mismatch_rejected(self):
         layer = layer_for(100, 40)
@@ -377,3 +375,20 @@ class TestLogitsPin:
     @pytest.mark.parametrize("bits", sorted(PINNED_LAYERS))
     def test_layer_outputs_pinned(self, bits):
         assert digest(pin_layer_outputs(bits)) == PINNED_LAYERS[bits]
+
+
+class TestSessionGeneratorBackend:
+    def test_run_layer_after_session_draws_from_callers_generator(self, pin):
+        # The "stochastic-batched" backend is one shared instance; a
+        # session run must leave nothing behind that a later direct
+        # run_layer call on the same thread would draw from instead of
+        # the generator it is given.
+        network, images = pin
+        engine = Engine(network, micro_batch=64)
+        engine.session(seed=5, backend="stochastic-batched").run(images)
+        layer = network.tiled_layers[-1]
+        x = pm(new_rng(8), (9 * 4, layer.in_features))
+        backend = get_backend("stochastic-batched")
+        got = backend.run_layer(layer, x, rng=np.random.default_rng(41))
+        want = layer.forward_batched(x, rng=np.random.default_rng(41))
+        np.testing.assert_array_equal(got, want)

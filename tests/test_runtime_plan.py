@@ -293,10 +293,10 @@ class TestSessionSchedulerIntegration:
 
     def test_caller_configured_pool_scheduler_wins_and_labels(self, tiled_engine, request_images):
         serial = tiled_engine.session(
-            seed=9, backend="stochastic-fused-batched"
+            seed=9, backend="stochastic-batched"
         ).run(request_images)
         with ShardParallelScheduler(
-            workers=2, inner="stochastic-fused-batched"
+            workers=2, inner="stochastic-batched"
         ) as sched:
             pooled = tiled_engine.session(seed=9, scheduler=sched).run(
                 request_images
@@ -305,7 +305,7 @@ class TestSessionSchedulerIntegration:
             with pytest.raises(ValueError, match="conflicts"):
                 tiled_engine.session(backend="ideal", scheduler=sched)
         np.testing.assert_array_equal(pooled.logits, serial.logits)
-        assert pooled.backend == "stochastic-fused-batched"
+        assert pooled.backend == "stochastic-batched"
 
     def test_pool_scheduler_rejects_two_pools_and_run_overrides(self, tiled_engine, request_images):
         with pytest.raises(ValueError, match="two pools"):

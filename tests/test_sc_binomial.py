@@ -2,18 +2,18 @@
 
 Three layers of guarantees:
 
-* the :class:`DrawBatch` contract — one ``Generator.random(total)``
-  call sliced into consecutive pieces is *bit-identical* to the
-  per-layer ``random(shape)`` calls it replaces (that identity is what
-  lets the batched backend hoist every draw into one generator call);
+* the session-generator draw contract — consecutive
+  ``Generator.random(shape)`` calls are *bit-identical* to one
+  ``random(total)`` call sliced into consecutive pieces (that identity
+  is what lets the fused pass draw block by block and the grouped
+  executor draw a shard's layers one after another);
 * the inverse-CDF count kernels (quantized table gather and branchless
   binary search) agree exactly with the brute-force ``#{cdf_k <= u}``
   reference on the same uniforms — including uniforms sitting exactly
   on CDF levels and in stepped bins;
-* batched-draw execution is bit-identical from the layer pass
-  (``forward_batched`` on rng vs a pre-drawn batch) up through the
-  grouped shard executor (``run_stages_group`` vs per-shard serial
-  ``run_stages``) for both group-vectorizable backends.
+* grouped execution is bit-identical to serial: ``run_stages_group``
+  vs per-shard serial ``run_stages`` for both group-vectorizable
+  backends.
 """
 
 import numpy as np
@@ -37,7 +37,6 @@ from repro.runtime.plan import (
 )
 from repro.sc.binomial import (
     QUANT_BINS,
-    DrawBatch,
     counts_by_quantile,
     counts_by_search,
     quantile_table,
@@ -50,33 +49,21 @@ def pm(rng, shape):
 
 
 # ----------------------------------------------------------------------
-# DrawBatch: the draw-hoisting contract
+# Session-generator draws: consecutive draws == one whole draw
 # ----------------------------------------------------------------------
-class TestDrawBatch:
-    def test_slices_bit_identical_to_per_call_draws(self):
+class TestSessionGeneratorDraws:
+    def test_consecutive_draws_equal_one_whole_draw(self):
         shapes = [(3, 4), (2,), (5, 1, 2), (0, 7), (6,)]
         total = sum(int(np.prod(s)) for s in shapes)
-        batch = DrawBatch(np.random.default_rng(7), total)
-        direct = np.random.default_rng(7)
+        whole = np.random.default_rng(7).random(total)
+        gen = np.random.default_rng(7)
+        pos = 0
         for shape in shapes:
-            np.testing.assert_array_equal(batch.take(shape), direct.random(shape))
-        assert batch.remaining == 0
-
-    def test_accounting_and_exhaustion(self):
-        batch = DrawBatch(new_rng(0), 10)
-        assert (batch.total, batch.consumed, batch.remaining) == (10, 0, 10)
-        assert batch.take((2, 3)).shape == (2, 3)
-        assert (batch.consumed, batch.remaining) == (6, 4)
-        with pytest.raises(ValueError, match="exhausted"):
-            batch.take((5,))
-        # A failed take must not consume anything.
-        assert batch.remaining == 4
-        batch.take((4,))
-        assert batch.remaining == 0
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            DrawBatch(new_rng(0), -1)
+            size = int(np.prod(shape))
+            np.testing.assert_array_equal(
+                gen.random(shape), whole[pos : pos + size].reshape(shape)
+            )
+            pos += size
 
 
 # ----------------------------------------------------------------------
@@ -138,56 +125,21 @@ class TestCountKernels:
 
 
 # ----------------------------------------------------------------------
-# Layer pass: forward_batched on rng vs a pre-drawn DrawBatch
+# Layer pass: forward_batched on the long-window fallback
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def batched_layer():
-    rng = new_rng(3)
-    cfg = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
-    layer = TiledLinearLayer(cfg, pm(rng, (64, 48)), seed=1)
-    x = pm(new_rng(5), (12, 64))
-    return layer, x
-
-
-def _draw_total(layer, n_rows):
-    # The sizing rule the runtime uses (see batched_draw_elements).
-    return layer.n_row_tiles * n_rows * layer.out_features
-
-
 class TestForwardBatched:
-    def test_rng_vs_drawbatch_bit_identical(self, batched_layer):
-        layer, x = batched_layer
-        assert layer.supports_batched_draws()
-        out_rng = layer.forward_batched(x, rng=np.random.default_rng(11))
-        draws = DrawBatch(np.random.default_rng(11), _draw_total(layer, x.shape[0]))
-        out_batch = layer.forward_batched(x, uniforms=draws)
-        np.testing.assert_array_equal(out_rng, out_batch)
-        assert draws.remaining == 0
-
-    def test_one_batch_spans_many_passes(self, batched_layer):
-        layer, x = batched_layer
-        gen = np.random.default_rng(13)
-        per_pass = [layer.forward_batched(x, rng=gen) for _ in range(2)]
-        draws = DrawBatch(
-            np.random.default_rng(13), 2 * _draw_total(layer, x.shape[0])
-        )
-        batched = [layer.forward_batched(x, uniforms=draws) for _ in range(2)]
-        for want, got in zip(per_pass, batched):
-            np.testing.assert_array_equal(want, got)
-
-    def test_long_window_fallback_rejects_uniforms(self):
+    def test_long_window_falls_back_to_generator_binomial(self):
         # A window too long for the cached CDF tables falls back to
-        # Generator.binomial, which cannot consume pre-drawn uniforms.
+        # Generator.binomial, drawn from the caller's generator.
         rng = new_rng(3)
         cfg = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=2000)
         layer = TiledLinearLayer(cfg, pm(rng, (64, 48)), seed=1)
         x = pm(new_rng(5), (4, 64))
         assert not layer.supports_batched_draws()
-        layer.forward_batched(x, rng=np.random.default_rng(1))  # rng path still works
-        with pytest.raises(ValueError, match="supports_batched_draws"):
-            layer.forward_batched(
-                x, uniforms=DrawBatch(np.random.default_rng(1), 10_000)
-            )
+        a = layer.forward_batched(x, rng=np.random.default_rng(1))
+        b = layer.forward_batched(x, rng=np.random.default_rng(1))
+        assert a.shape == (4, 48)
+        np.testing.assert_array_equal(a, b)
 
 
 # ----------------------------------------------------------------------
