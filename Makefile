@@ -24,7 +24,7 @@
 # and docs/ENVIRONMENT.md against ENV_CATALOG (the CI
 # docs-sync job); `make check-chaos`
 # runs the fault-injection tier the same way — deterministic worker
-# kills, transport outages, blown deadlines, and poisoned payloads
+# kills, raised pool errors, blown deadlines, and poisoned payloads
 # against real process pools (tests/test_runtime_faults.py +
 # tests/test_runtime_chaos.py), where a recovery bug surfaces as a
 # timeout or a bit-identity failure; `make coverage` runs

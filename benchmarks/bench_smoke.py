@@ -18,11 +18,14 @@ the regression check compares the *pooled/serial ratio*: this run's
 recent committed run that carries both rows. A ratio drift >threshold
 fails the gate; the absolute times are printed for the log.
 
+A gate that cannot compare fails: a missing or unreadable trajectory,
+or one where no run carries both rows, exits 1 without measuring.
+
 Skipping: record the reference run with a label containing
 ``[skip-bench-smoke]`` (e.g. ``make bench
 BENCH_LABEL='... [skip-bench-smoke]'``) and the gate passes without
-measuring — the escape hatch for rows known to be unrepresentative
-(e.g. recorded on a loaded machine).
+measuring — the only exemption, meant for rows known to be
+unrepresentative (e.g. recorded on a loaded machine).
 """
 
 from __future__ import annotations
@@ -39,15 +42,20 @@ SERIAL_ROW = "test_perf_session_serial_stochastic"
 SKIP_TOKEN = "[skip-bench-smoke]"
 
 
+class NoReference(LookupError):
+    """The trajectory holds nothing to compare against."""
+
+
 def reference_ratio(trajectory: pathlib.Path):
-    """(ratio, label) from the newest committed run carrying both rows,
-    or (None, reason) when the gate cannot (or should not) compare."""
+    """(ratio, label) from the newest committed run carrying both rows;
+    (None, reason) when that run is labeled exempt. Raises
+    :class:`NoReference` when the gate cannot compare."""
     if not trajectory.exists():
-        return None, f"no trajectory file at {trajectory}"
+        raise NoReference(f"no trajectory file at {trajectory}")
     try:
         runs = json.loads(trajectory.read_text()).get("runs", [])
     except (json.JSONDecodeError, AttributeError):
-        return None, f"unreadable trajectory file at {trajectory}"
+        raise NoReference(f"unreadable trajectory file at {trajectory}") from None
     for run in reversed(runs):
         rows = run.get("benchmarks", {})
         pooled = (rows.get(POOLED_ROW) or {}).get("min_s")
@@ -58,7 +66,7 @@ def reference_ratio(trajectory: pathlib.Path):
         if SKIP_TOKEN in label:
             return None, f"reference run labeled {SKIP_TOKEN}: {label!r}"
         return pooled / serial, label
-    return None, "no committed run carries both the pooled and serial rows"
+    raise NoReference("no committed run carries both the pooled and serial rows")
 
 
 def measure(rounds: int):
@@ -149,7 +157,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    ref, label = reference_ratio(pathlib.Path(args.bench_json))
+    try:
+        ref, label = reference_ratio(pathlib.Path(args.bench_json))
+    except NoReference as exc:
+        print(f"bench-smoke: FAIL (cannot compare: {exc})")
+        return 1
     if ref is None:
         print(f"bench-smoke: SKIP ({label})")
         return 0

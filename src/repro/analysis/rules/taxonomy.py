@@ -2,8 +2,8 @@
 inside the ``recovery.classify`` taxonomy.
 
 PR 6's fault-tolerance contract hangs on a clean split: retryable
-infrastructure failures (``BrokenProcessPool``, ``TransportUnavailable``,
-``DeadlineExceeded``, broken pipes) versus fatal payload failures
+infrastructure failures (``BrokenProcessPool``, ``DeadlineExceeded``,
+broken pipes) versus fatal payload failures
 (``PoisonedPayload``, validation errors). Two code patterns erode it
 silently:
 
@@ -12,9 +12,8 @@ silently:
    branch (fatal) whether or not that is what the author meant. This
    rule requires every ``raise <Name>(...)`` in the runtime tier to
    name a *classifiable* type: a builtin the taxonomy handles, one of
-   the taxonomy's own classes (``recovery`` / ``faults`` /
-   ``transport``), or a class whose (statically visible) bases chain to
-   those.
+   the taxonomy's own classes (``recovery`` / ``faults``), or a class
+   whose (statically visible) bases chain to those.
 
 2. **Bare broad handlers.** An ``except Exception:`` in
    ``repro.runtime`` or ``repro.net`` that neither routes the caught
@@ -39,7 +38,6 @@ HANDLER_SCOPE = ("repro.runtime", "repro.net")
 TAXONOMY_MODULES = (
     "repro.runtime.recovery",
     "repro.runtime.faults",
-    "repro.runtime.transport",
 )
 
 #: Builtins recovery.classify knows how to bucket (retryable set +
@@ -156,7 +154,7 @@ class ExceptionTaxonomyRule(Rule):
                     line=node.lineno,
                     message=f"raise of {tail} in {f.module} is outside the "
                     f"recovery.classify taxonomy",
-                    hint="raise a taxonomy type (recovery/faults/transport), "
+                    hint="raise a taxonomy type (recovery/faults), "
                     "a classifiable builtin, or derive the class from one",
                 )
         # `raise exc` (a variable) is a re-raise of something already

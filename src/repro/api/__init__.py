@@ -33,8 +33,7 @@ Façade over model compilation, execution, and metrics:
   :class:`ExecutionPlan` task DAGs (:func:`compile_plan`), pluggable
   schedulers (``"serial"`` / ``"shard-parallel"`` / ``"tile-parallel"``
   / ``"adaptive"``, the cost-model chooser), the calibratable
-  :class:`CostModel` (:func:`calibrate`), and shared-memory activation
-  transport.
+  :class:`CostModel` (:func:`calibrate`).
 * fault tolerance (:mod:`repro.runtime.faults` /
   :mod:`repro.runtime.recovery`) — deterministic fault injection
   (:class:`FaultPlan`), retry/backoff with pool rebuild

@@ -39,7 +39,7 @@ First-class backends:
     :class:`repro.runtime.scheduler.ShardParallelScheduler`):
     micro-batch shards of the session's
     :class:`~repro.runtime.plan.ShardPlan` are executed on a process
-    pool with shared-memory activation transport, bit-identical to
+    pool (activations shipped by pickle), bit-identical to
     serial execution for the same session seed. Implements ``run_plan``
     / ``run_shards`` instead of ``run_layer``.
 

@@ -2,7 +2,7 @@
 
 Since the runtime refactor this module is a thin registration shim:
 the pool machinery (worker initializer, per-shard reseed-and-execute
-tasks, shared-memory activation transport) lives in
+tasks, pickled activation slabs) lives in
 :class:`repro.runtime.scheduler.ShardParallelScheduler`, and
 :class:`StochasticParallelBackend` simply *is* that scheduler exposed
 under the backend registry's shard-level protocol (``run_plan``), so
@@ -13,8 +13,8 @@ keeps working unchanged.
 The guarantees are the scheduler's:
 
 * the compiled network is shipped **once per worker** via the pool
-  initializer; shard activations ride the shared-memory ring
-  (:mod:`repro.runtime.transport`) instead of the pickle pipe;
+  initializer; each contiguous shard group's activation rows ride
+  the pipe to their worker as one pickled slab;
 * each shard task re-derives the network's full sampler state from the
   shard's child seed (:func:`repro.runtime.plan.seed_shard`) and
   executes through the same :func:`repro.runtime.plan.run_stages` the
@@ -51,9 +51,9 @@ class StochasticParallelBackend(ShardParallelScheduler):
     """Shard-level execution strategy over a worker process pool.
 
     A facade over :class:`~repro.runtime.scheduler.ShardParallelScheduler`
-    (which see, for ``workers`` / ``inner`` / ``transport`` /
-    ``ring_slots``); registered as the ``"stochastic-parallel"``
-    backend so sessions select it by name.
+    (which see, for ``workers`` / ``inner`` / ``recovery``); registered
+    as the ``"stochastic-parallel"`` backend so sessions select it by
+    name.
     """
 
     deterministic = False
@@ -63,5 +63,5 @@ class StochasticParallelBackend(ShardParallelScheduler):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<backend stochastic-parallel workers={self.workers} "
-            f"inner={self.inner!r} transport={self.transport!r}>"
+            f"inner={self.inner!r}>"
         )

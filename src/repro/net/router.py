@@ -30,7 +30,7 @@ Health, eviction, re-admission
 ------------------------------
 Failures ride the PR 6 recovery taxonomy
 (:func:`repro.runtime.recovery.classify`): a replica whose request
-fails **retryable** (infrastructure: broken pool, timeout, transport)
+fails **retryable** (infrastructure: broken pool, timeout, broken pipe)
 is evicted from the rotation and the request is transparently
 re-submitted to the next healthy replica — bounded by the replica
 count, so a cluster-wide outage still surfaces the original error.

@@ -1,10 +1,10 @@
-"""``repro.runtime`` — execution planning, scheduling, transport, serving.
+"""``repro.runtime`` — execution planning, scheduling, serving.
 
 The runtime subsystem sits between the :class:`~repro.api.Engine`
 facade and the layer-level execution backends
 (:mod:`repro.api.backends`). It owns the full request lifecycle::
 
-    request -> plan -> schedule -> transport -> results
+    request -> plan -> schedule -> results
 
 * :mod:`repro.runtime.plan` — :func:`plan_shards` /
   :class:`ShardPlan` (row ranges + per-shard child seeds, the
@@ -17,8 +17,6 @@ facade and the layer-level execution backends
   ``"serial"``, ``"shard-parallel"`` (process pool), and
   ``"tile-parallel"`` (concurrent column tiles). Extend via
   :func:`register_scheduler`.
-* :mod:`repro.runtime.transport` — shared-memory activation ring
-  buffers that replace pickled ndarray shipping to pool workers.
 * :mod:`repro.runtime.daemon` — :class:`ServingDaemon`, the long-lived
   queued serving loop with deadline-based batch coalescing (coalesced
   waves stay bit-identical to uncoalesced execution for seeded
@@ -103,7 +101,6 @@ from repro.runtime.scheduler import (
     register_scheduler,
     resolve_scheduler,
 )
-from repro.runtime.transport import ActivationRing, ShmTicket, TransportUnavailable
 
 __all__ = [
     "ExecutionPlan",
@@ -130,9 +127,6 @@ __all__ = [
     "calibrate",
     "candidate_modes",
     "load_cost_model",
-    "ActivationRing",
-    "ShmTicket",
-    "TransportUnavailable",
     "ServingDaemon",
     "DaemonStats",
     "KNOWN_SITES",

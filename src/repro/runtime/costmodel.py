@@ -10,8 +10,8 @@ fan-out the runtime offers:
     every task in sequence in the calling process;
 ``"shard-parallel"``
     shards spread over a ``workers``-process pool, paying a per-shard
-    ship cost over the :class:`~repro.runtime.transport.ActivationRing`
-    plus a fixed pool submission overhead;
+    cost to pickle its activations to a worker plus a fixed pool
+    submission overhead;
 ``"tile-parallel"``
     each crossbar stage's column tiles spread over ``workers`` threads,
     paying a per-tile dispatch/fold cost.

@@ -200,9 +200,9 @@ class ServingDaemon:
         :attr:`DaemonStats.mode_waves`. ``None`` keeps the classic
         strategy-driven execution.
     prewarm:
-        True builds the scheduler's worker pool (and shm ring) at
-        construction, before any traffic — pool spin-up costs tens of
-        milliseconds, and paying it at startup keeps it out of the
+        True builds the scheduler's worker pool at construction,
+        before any traffic — pool spin-up costs tens of milliseconds,
+        and paying it at startup keeps it out of the
         first wave's latency *and* out of the adaptive chooser's
         predictions (a warm pool competes on marginal cost, so the
         chooser can route the very first wave to the pool). Requires a

@@ -3,7 +3,7 @@
 Reliability claims are only testable if failures can be produced *on
 demand and reproducibly*. This module is the runtime's chaos harness: a
 :class:`FaultPlan` describes **where** (an injection *site* threaded
-through the scheduler, transport, and daemon), **when** (match on the
+through the scheduler and the daemon), **when** (match on the
 call context, skip the first ``after`` hits, fire at most ``times``
 times, optionally with a seeded probability), and **what** (kill the
 worker process, raise a named exception, sleep past a deadline, or
@@ -22,13 +22,6 @@ Injection sites (the ``site`` key of a :class:`FaultSpec`):
     Worker side, at the top of every pool shard task. Context:
     ``shard`` (index within the plan), ``rows``. ``action="kill"``
     here is the canonical "worker dies mid-wave" chaos scenario.
-``"transport.publish"``
-    Parent side, inside :meth:`~repro.runtime.transport.ActivationRing.publish`.
-    Context: ``nbytes``.
-``"transport.attach"``
-    Worker side, on every shared-memory segment attach. Context:
-    ``segment``. Pair with ``error="TransportUnavailable"`` and
-    ``after=N-1`` to fail the Nth attach.
 ``"daemon.request"``
     Daemon consumer, once per request at wave assembly (after the
     request's plan — and therefore its seeds — have been drawn, so a
@@ -61,6 +54,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -74,8 +68,6 @@ from repro.runtime.recovery import DeadlineExceeded, PoisonedPayload
 KNOWN_SITES = (
     "scheduler.wave",
     "worker.shard",
-    "transport.publish",
-    "transport.attach",
     "daemon.request",
     "daemon.consumer",
 )
@@ -91,12 +83,8 @@ class FaultInjected(RuntimeError):
 
 
 def _resolve_error(name: str):
-    """Exception class for a spec's ``error`` name.
-
-    Resolution is lazy so this module never imports the modules it
-    instruments (transport imports faults, not the other way around).
-    """
-    builtin = {
+    """Exception class for a spec's ``error`` name."""
+    known = {
         "RuntimeError": RuntimeError,
         "ValueError": ValueError,
         "OSError": OSError,
@@ -105,21 +93,12 @@ def _resolve_error(name: str):
         "FaultInjected": FaultInjected,
         "DeadlineExceeded": DeadlineExceeded,
         "PoisonedPayload": PoisonedPayload,
+        "BrokenProcessPool": BrokenProcessPool,
     }
-    if name in builtin:
-        return builtin[name]
-    if name == "TransportUnavailable":
-        from repro.runtime.transport import TransportUnavailable
-
-        return TransportUnavailable
-    if name == "BrokenProcessPool":
-        from concurrent.futures.process import BrokenProcessPool
-
-        return BrokenProcessPool
+    if name in known:
+        return known[name]
     raise ValueError(
-        f"unknown fault error {name!r}; known: "
-        f"{', '.join(sorted(builtin))}, TransportUnavailable, "
-        f"BrokenProcessPool"
+        f"unknown fault error {name!r}; known: {', '.join(sorted(known))}"
     )
 
 

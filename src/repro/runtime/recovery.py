@@ -1,9 +1,8 @@
 """Failure classification, retry/backoff policy, and the recovery loop.
 
 The runtime's fault-tolerance contract: infrastructure failures are
-**retryable** — a dead pool worker (``BrokenProcessPool``), a shared-
-memory transport outage (``TransportUnavailable``), a deadline blown by
-a straggler (:class:`DeadlineExceeded`), a broken pipe — and are
+**retryable** — a dead pool worker (``BrokenProcessPool``), a deadline
+blown by a straggler (:class:`DeadlineExceeded`), a broken pipe — and are
 retried with exponential backoff (rebuilding the broken resource in
 between) before falling back to **serial re-execution**, which always
 completes and is *bit-identical* to the faulted attempt because every
@@ -64,8 +63,8 @@ class RequestError(RuntimeError):
         self.kind = kind
 
 
-#: Exception types the runtime will retry. OSError covers the pipe /
-#: shared-memory breakage a dying worker leaves behind; TimeoutError
+#: Exception types the runtime will retry. OSError covers the pipe
+#: breakage a dying worker leaves behind; TimeoutError
 #: covers both stdlib timeouts and DeadlineExceeded.
 _RETRYABLE = (BrokenProcessPool, TimeoutError, ConnectionError, EOFError, OSError)
 
@@ -73,7 +72,7 @@ _RETRYABLE = (BrokenProcessPool, TimeoutError, ConnectionError, EOFError, OSErro
 def classify(exc: BaseException) -> str:
     """``"retryable"`` or ``"fatal"`` for one failure.
 
-    Infrastructure failures (worker death, transport outage, timeouts)
+    Infrastructure failures (worker death, broken pipes, timeouts)
     are retryable; payload/programming errors — and anything derived
     from ``BaseException`` only, like ``KeyboardInterrupt`` — are
     fatal.
@@ -82,11 +81,7 @@ def classify(exc: BaseException) -> str:
         return exc.kind
     if isinstance(exc, PoisonedPayload):
         return "fatal"
-    # Lazy so this module stays import-cycle-free (transport imports
-    # the faults module, which imports this one).
-    from repro.runtime.transport import TransportUnavailable
-
-    if isinstance(exc, (TransportUnavailable,) + _RETRYABLE):
+    if isinstance(exc, _RETRYABLE):
         return "retryable"
     return "fatal"
 
@@ -212,8 +207,8 @@ def run_with_recovery(
 
     ``attempt`` receives the remaining deadline budget in seconds
     (``None`` when no deadline applies) and must honor it. Retryable
-    failures trigger ``on_retry(exc)`` (resource repair — rebuild a
-    pool, switch transports; it may return a short label for the log),
+    failures trigger ``on_retry(exc)`` (resource repair, e.g. rebuild
+    a pool; it may return a short label for the log),
     a backoff sleep, and a re-execution, up to ``policy.max_retries``
     times while deadline budget remains. When attempts are exhausted —
     or the deadline has left no room to retry — ``fallback`` (the

@@ -10,10 +10,10 @@ each crossbar stage is sampled. Four first-class schedulers:
     exactly the session loop the Engine has always run.
 ``"shard-parallel"``
     Shards fan out over a worker process pool (the pool machinery that
-    used to live in :mod:`repro.api.parallel`). Activations ship
-    through the shared-memory :class:`~repro.runtime.transport.ActivationRing`
-    by default; per-shard reseeding keeps N-worker output bit-identical
-    to serial for the same plan.
+    used to live in :mod:`repro.api.parallel`). Each contiguous shard
+    group's activation slab ships to its worker by pickle; per-shard
+    reseeding keeps N-worker output bit-identical to serial for the
+    same plan.
 ``"tile-parallel"``
     Shards stay in-process but every crossbar stage's *column tiles*
     run concurrently on a thread pool — the axis that still has
@@ -47,7 +47,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple, Type
@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.api.backends import get_backend
 from repro.api.results import LayerTelemetry, merge_telemetry
-from repro.runtime import faults, transport
+from repro.runtime import faults
 from repro.runtime.env import env_int, env_str
 from repro.runtime.costmodel import (
     ADAPTIVE_MODES,
@@ -321,22 +321,6 @@ def _run_shard_local(
     return logits, telemetry
 
 
-def _worker_run_shard(
-    chunk: np.ndarray, seed: Optional[int], index: int = 0
-) -> ShardResult:
-    """Pickled-transport shard task: the activation slice rode the
-    pool's IPC pipe."""
-    return _run_shard_local(chunk, seed, index)
-
-
-def _worker_run_shard_shm(
-    ticket: transport.ShmTicket, seed: Optional[int], index: int = 0
-) -> ShardResult:
-    """Shared-memory shard task: only the ticket crossed the pipe; the
-    activations are read straight out of the ring slot."""
-    return _run_shard_local(transport.load(ticket), seed, index)
-
-
 def _worker_warmup() -> int:
     """Warm one worker end to end (runs in the worker process).
 
@@ -364,7 +348,9 @@ def _worker_warmup() -> int:
 
 
 def _run_group_local(slab: np.ndarray, specs) -> List[ShardResult]:
-    """Execute one contiguous shard *group* in this worker.
+    """Execute one contiguous shard *group* in this worker (the pool
+    task and the express-lane body: ``slab`` is the group's rows, which
+    rode the pipe by pickle).
 
     ``specs`` is a tuple of ``(seed, start, stop, index)`` rows relative
     to ``slab``. When the inner strategy's draw chain can be reproduced
@@ -400,9 +386,9 @@ def _split_groups(shards, k: int) -> List[List[Tuple[int, object]]]:
     """Split the shard sequence into at most ``k`` contiguous, balanced
     groups of ``(positional_index, shard)`` pairs.
 
-    Contiguity matters twice: one shm ticket (or one pickled slab) can
-    cover a whole group's rows, and the stage-major group executor
-    needs shard rows to be consecutive blocks of its slab.
+    Contiguity matters twice: one pickled slab covers a whole group's
+    rows, and the stage-major group executor needs shard rows to be
+    consecutive blocks of its slab.
     """
     indexed = list(enumerate(shards))
     n = len(indexed)
@@ -417,24 +403,24 @@ def _split_groups(shards, k: int) -> List[List[Tuple[int, object]]]:
     return groups
 
 
-def _worker_run_group(slab: np.ndarray, specs) -> List[ShardResult]:
-    """Pickled-transport group task: the group's row slab rode the
-    pool's IPC pipe."""
-    return _run_group_local(slab, specs)
-
-
-def _worker_run_group_shm(ticket: transport.ShmTicket, specs) -> List[ShardResult]:
-    """Shared-memory group task: one ticket covers the whole group's
-    contiguous rows."""
-    return _run_group_local(transport.load(ticket), specs)
+def _group_task(x: np.ndarray, group) -> Tuple[np.ndarray, tuple]:
+    """``(slab, specs)`` for one group: the group's contiguous rows of
+    ``x`` and its ``(seed, start, stop, index)`` rows relative to them
+    — the arguments :func:`_run_group_local` takes."""
+    base = group[0][1].start
+    specs = tuple(
+        (shard.seed, shard.start - base, shard.stop - base, index)
+        for index, shard in group
+    )
+    return x[base : group[-1][1].stop], specs
 
 
 def _worker_lane(index: int) -> int:
     """Park this worker on express lane ``index`` (runs in the worker).
 
     The lane occupies the worker for the life of the pool: waves arrive
-    as ``(wave_id, (kind, payload), specs)`` straight off the
-    scheduler's pipe and every reply echoes the ``wave_id``, so the
+    as ``(wave_id, slab, specs)`` straight off the scheduler's pipe and
+    every reply echoes the ``wave_id``, so the
     scheduler can discard a straggler's late reply from an abandoned
     wave instead of mistaking it for the current one. Task failures are
     shipped back as ``(wave_id, False, exc)`` — the lane survives them,
@@ -460,13 +446,9 @@ def _worker_lane(index: int) -> int:
             return index
         if message is None:
             return index
-        wave_id, (kind, payload), specs = message
+        wave_id, slab, specs = message
         try:
-            if kind == "shm":
-                body = _worker_run_group_shm(payload, specs)
-            else:
-                body = _worker_run_group(payload, specs)
-            reply = (wave_id, True, body)
+            reply = (wave_id, True, _run_group_local(slab, specs))
         except BaseException as exc:  # taxonomy: shipped to the scheduler, classified there by run_with_recovery
             reply = (wave_id, False, exc)
         try:
@@ -484,7 +466,7 @@ def _worker_lane(index: int) -> int:
 
 @register_scheduler(
     "shard-parallel",
-    summary="process-pool shards over shared-memory transport",
+    summary="process-pool shards, pickled activation slabs",
 )
 class ShardParallelScheduler:
     """Fan a plan's shards over a worker process pool.
@@ -494,7 +476,9 @@ class ShardParallelScheduler:
     its child seed and executes through the same
     :func:`~repro.runtime.plan.run_stages` the serial scheduler uses,
     so which worker runs which shard is irrelevant — N-worker output is
-    bit-identical to serial for the same plan.
+    bit-identical to serial for the same plan. Each wave ships one
+    pickled activation slab per contiguous shard group, over the
+    executor or (after :meth:`warm`) an express lane.
 
     Parameters
     ----------
@@ -503,20 +487,12 @@ class ShardParallelScheduler:
         ``REPRO_MAX_POOL_WORKERS`` environment variable).
     inner:
         Layer-level backend each worker executes shards with.
-    transport:
-        ``"shm"`` (default) ships activations through the
-        shared-memory ring; ``"pickle"`` uses the classic pickled
-        slices. Falls back to pickle automatically if shared memory is
-        unavailable at runtime.
-    ring_slots:
-        How many waves the activation ring keeps in flight.
     recovery:
         The :class:`~repro.runtime.recovery.RetryPolicy` governing how
         worker-pool failures are handled (``None`` reads the
         ``REPRO_MAX_RETRIES`` / ``REPRO_REQUEST_DEADLINE_S`` family
         from the environment). A ``BrokenProcessPool`` rebuilds the
-        pool and retries with backoff; a shared-memory outage flips to
-        pickle transport and retries; a blown deadline abandons the
+        pool and retries with backoff; a blown deadline abandons the
         stragglers and re-executes serially in-process — bit-identical,
         because every shard re-derives its sampler state from its own
         plan seed. :attr:`last_recovery` reports what the calling
@@ -530,21 +506,14 @@ class ShardParallelScheduler:
         self,
         workers: Optional[int] = None,
         inner: str = "stochastic",
-        transport: str = "shm",
-        ring_slots: int = 4,
         recovery: Optional[RetryPolicy] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if transport not in ("shm", "pickle"):
-            raise ValueError(f"transport must be 'shm' or 'pickle', got {transport!r}")
         self.workers = _worker_cap(int(workers or os.cpu_count() or 1))
         self.inner = inner
         get_backend(inner, allow_override=False)  # fail fast on unknown names
-        self.transport = transport
         self.recovery = recovery if recovery is not None else RetryPolicy.from_env()
-        self._ring_slots = int(ring_slots)
-        self._ring: Optional[transport.ActivationRing] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_network = None
         self._pool_generation = 0
@@ -633,11 +602,11 @@ class ShardParallelScheduler:
         shard_plan: ShardPlan,
         remaining: Optional[float],
     ) -> List[ShardResult]:
-        """One pool attempt: publish, fan out *groups*, gather under
-        the remaining deadline budget.
+        """One pool attempt: fan out *groups*, gather under the
+        remaining deadline budget.
 
         Shards are batched into at most ``workers`` contiguous groups —
-        one pool submission (and one shm ticket) per group instead of
+        one pool submission (and one pickled slab) per group instead of
         one per shard, so the per-task dispatch constant is paid
         ``min(workers, shards)`` times per wave. Inside a worker the
         group executes stage-major and vectorized when the inner
@@ -645,51 +614,18 @@ class ShardParallelScheduler:
         to per-shard execution either way.
         """
         pool = self._ensure_pool(network)
-        lease = None
-        if self.transport == "shm":
-            try:
-                lease = self._ensure_ring().publish(np.ascontiguousarray(x))
-            except transport.TransportUnavailable:
-                # Host cannot do shared memory — flip to pickle for the
-                # lifetime of this scheduler and carry on.
-                self.transport = "pickle"
         deadline = None if remaining is None else time.monotonic() + remaining
-        futures = []
-        abandoned = False
+        groups = [
+            _group_task(x, group)
+            for group in _split_groups(shard_plan.shards, self.workers)
+        ]
+        lanes = self._lanes
+        if lanes is not None and len(groups) <= len(lanes):
+            return self._run_lanes(lanes, groups, deadline)
+        futures = [
+            pool.submit(_run_group_local, slab, specs) for slab, specs in groups
+        ]
         try:
-            groups = _split_groups(shard_plan.shards, self.workers)
-            lanes = self._lanes
-            if lanes is not None and len(groups) <= len(lanes):
-                try:
-                    return self._run_lanes(lanes, lease, x, groups, deadline)
-                except BaseException:  # taxonomy: re-raised for run_with_recovery after marking the lease
-                    # A lane may still be reading the slab (a straggler,
-                    # a dead worker's half-read) — never recycle the
-                    # slot under it.
-                    abandoned = True
-                    raise
-            for group in groups:
-                base = group[0][1].start
-                specs = tuple(
-                    (shard.seed, shard.start - base, shard.stop - base, index)
-                    for index, shard in group
-                )
-                if lease is not None:
-                    futures.append(
-                        pool.submit(
-                            _worker_run_group_shm,
-                            lease.ticket(base, group[-1][1].stop),
-                            specs,
-                        )
-                    )
-                else:
-                    futures.append(
-                        pool.submit(
-                            _worker_run_group,
-                            x[base : group[-1][1].stop],
-                            specs,
-                        )
-                    )
             outputs: List[ShardResult] = []
             for future in futures:
                 budget = None if deadline is None else deadline - time.monotonic()
@@ -707,31 +643,13 @@ class ShardParallelScheduler:
         except DeadlineExceeded:
             # Straggler path: cancel what has not started and walk away
             # — never wait out a wedged worker.
-            abandoned = True
             for future in futures:
                 future.cancel()
             raise
-        finally:
-            if lease is not None:
-                if abandoned:
-                    # A straggler may still be reading the slot; destroy
-                    # the segment instead of recycling it so a retry can
-                    # never rewrite memory under a live reader.
-                    lease.abandon()
-                else:
-                    # An early future's exception must not release the
-                    # slot while later shards are still reading it — the
-                    # ring's never-rewrite-while-read invariant. Wait
-                    # out every in-flight task first (a no-op on the
-                    # happy path).
-                    wait(futures)
-                    lease.release()
 
     def _run_lanes(
         self,
         lanes: list,
-        lease,
-        x: np.ndarray,
         groups,
         deadline: Optional[float],
     ) -> List[ShardResult]:
@@ -757,17 +675,8 @@ class ShardParallelScheduler:
             wave_id = self._lane_wave
             live = []
             try:
-                for slot, group in enumerate(groups):
-                    base = group[0][1].start
-                    specs = tuple(
-                        (shard.seed, shard.start - base, shard.stop - base, index)
-                        for index, shard in group
-                    )
-                    if lease is not None:
-                        payload = ("shm", lease.ticket(base, group[-1][1].stop))
-                    else:
-                        payload = ("pickle", x[base : group[-1][1].stop])
-                    lanes[slot].send((wave_id, payload, specs))
+                for slot, (slab, specs) in enumerate(groups):
+                    lanes[slot].send((wave_id, slab, specs))
                     live.append(slot)
             except (BrokenPipeError, OSError) as exc:
                 raise BrokenProcessPool(
@@ -807,9 +716,6 @@ class ShardParallelScheduler:
         if isinstance(exc, BrokenProcessPool):
             self._rebuild_pool()
             return "rebuild-pool"
-        if isinstance(exc, transport.TransportUnavailable):
-            self.transport = "pickle"
-            return "pickle-transport"
         return None
 
     def _close_lanes(self) -> None:
@@ -952,12 +858,6 @@ class ShardParallelScheduler:
         except AttributeError:  # pragma: no cover - stdlib internals moved
             pass
 
-    def _ensure_ring(self) -> transport.ActivationRing:
-        with self._lock:
-            if self._ring is None:
-                self._ring = transport.ActivationRing(slots=self._ring_slots)
-            return self._ring
-
     # ------------------------------------------------------------------
     @property
     def pool_generation(self) -> int:
@@ -970,7 +870,7 @@ class ShardParallelScheduler:
         return self._pool_generation
 
     def warm(self, network) -> int:
-        """Build the worker pool (and shm ring) before any traffic.
+        """Build the worker pool before any traffic.
 
         Pool construction — forkserver spin-up, shipping the network to
         every worker, warm numpy imports — costs tens of milliseconds;
@@ -997,11 +897,6 @@ class ShardParallelScheduler:
                 # this — there is nothing left to warm.
                 return self._pool_generation
         self._ensure_pool(network)
-        if self.transport == "shm":
-            try:
-                self._ensure_ring()
-            except transport.TransportUnavailable:
-                self.transport = "pickle"
         # ProcessPoolExecutor spawns its processes lazily on first
         # submit; force every worker up *now* and have each build its
         # sampler tables, so no real request pays spawn or table cost.
@@ -1024,16 +919,13 @@ class ShardParallelScheduler:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the worker pool and activation ring down (idempotent)."""
+        """Shut the worker pool down (idempotent)."""
         with self._lock:
             self._close_lanes()
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
                 self._pool_network = None
-            if self._ring is not None:
-                self._ring.close()
-                self._ring = None
 
     def __enter__(self) -> "ShardParallelScheduler":
         return self
@@ -1044,7 +936,7 @@ class ShardParallelScheduler:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<scheduler {self.name} workers={self.workers} "
-            f"inner={self.inner!r} transport={self.transport!r}>"
+            f"inner={self.inner!r}>"
         )
 
 

@@ -4,8 +4,8 @@ Every scenario here kills, delays, or poisons something mid-flight and
 then asserts the two fault-tolerance invariants: the request still
 completes (or fails with a classified, actionable error on *its own*
 future), and recovered output is **bit-identical** to an unfaulted run
-of the same seed — retry, pool rebuild, transport flip, and serial
-fallback are never allowed to perturb randomness.
+of the same seed — retry, pool rebuild, and serial fallback are never
+allowed to perturb randomness.
 
 Run via ``make check-chaos`` (bounded workers + a hard timeout).
 """
@@ -123,61 +123,6 @@ class TestWorkerCrashRecovery:
         assert any(
             r.recovery is not None and r.recovery["recovered"] for r in results
         )
-
-
-class TestTransportRecovery:
-    def test_worker_attach_failure_flips_to_pickle(
-        self, small_engine, request_data
-    ):
-        """The Nth-attach outage: a worker's shared-memory attach raises
-        TransportUnavailable; the scheduler retries over pickle."""
-        reference = small_engine.run(request_data, seed=11)
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    site="transport.attach",
-                    action="raise",
-                    error="TransportUnavailable",
-                )
-            ]
-        )
-        with ShardParallelScheduler(workers=2) as scheduler:
-            assert scheduler.transport == "shm"
-            session = small_engine.session(seed=11, scheduler=scheduler)
-            with fault_injection(plan):
-                result = session.run(request_data)
-            session.close()
-            assert scheduler.transport == "pickle"
-        np.testing.assert_array_equal(result.logits, reference.logits)
-        assert result.recovery["recovered"] is True
-        assert any(
-            entry["action"] == "pickle-transport"
-            for entry in result.recovery["retries"]
-        )
-
-    def test_publish_failure_degrades_within_the_same_attempt(
-        self, small_engine, request_data
-    ):
-        """A parent-side publish outage never costs a retry: the wave
-        continues over pickle immediately."""
-        reference = small_engine.run(request_data, seed=13)
-        plan = FaultPlan(
-            [
-                FaultSpec(
-                    site="transport.publish",
-                    action="raise",
-                    error="TransportUnavailable",
-                )
-            ]
-        )
-        with ShardParallelScheduler(workers=2) as scheduler:
-            session = small_engine.session(seed=13, scheduler=scheduler)
-            with fault_injection(plan):
-                result = session.run(request_data)
-            session.close()
-            assert scheduler.transport == "pickle"
-        np.testing.assert_array_equal(result.logits, reference.logits)
-        assert result.recovery is None or result.recovery["attempts"] == 1
 
 
 class TestDeadlines:

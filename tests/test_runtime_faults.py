@@ -1,5 +1,5 @@
 """Fault-injection harness, failure classification, retry policy, the
-recovery loop, and the activation ring's lease-leak guards.
+and the recovery loop.
 
 Everything here is in-process and fast; the process-pool chaos
 scenarios (worker kill, pool rebuild, deadline rescue) live in
@@ -10,9 +10,7 @@ import json
 import queue
 import time
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 
-import numpy as np
 import pytest
 
 from repro.runtime import faults
@@ -34,7 +32,6 @@ from repro.runtime.recovery import (
     classify,
     run_with_recovery,
 )
-from repro.runtime.transport import ActivationRing, TransportUnavailable, load
 
 
 @pytest.fixture(autouse=True)
@@ -55,6 +52,10 @@ class TestFaultSpecValidation:
     def test_unknown_error_name_fails_fast(self):
         with pytest.raises(ValueError, match="unknown fault error"):
             FaultSpec(site="worker.shard", action="raise", error="Nope")
+        with pytest.raises(ValueError, match="unknown fault error"):
+            FaultSpec(
+                site="worker.shard", action="raise", error="TransportUnavailable"
+            )
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="delay_s"):
@@ -71,7 +72,7 @@ class TestFaultSpecValidation:
             FaultSpec(site="worker.shard", times=0)
 
     def test_resolvable_error_names(self):
-        for name in ("TransportUnavailable", "BrokenProcessPool",
+        for name in ("OSError", "BrokenProcessPool",
                      "DeadlineExceeded", "KeyboardInterrupt"):
             FaultSpec(site="worker.shard", action="raise", error=name)
 
@@ -85,10 +86,10 @@ class TestTriggering:
 
     def test_after_skips_and_times_caps(self):
         plan = FaultPlan(
-            [FaultSpec(site="transport.attach", after=2, times=2)]
+            [FaultSpec(site="worker.shard", after=2, times=2)]
         )
         fired = [
-            plan.visit("transport.attach", {}) is not None for _ in range(6)
+            plan.visit("worker.shard", {}) is not None for _ in range(6)
         ]
         assert fired == [False, False, True, True, False, False]
         assert plan.counters() == [(6, 2)]
@@ -135,7 +136,7 @@ class TestSerialization:
                 FaultSpec(
                     site="worker.shard",
                     action="raise",
-                    error="TransportUnavailable",
+                    error="BrokenProcessPool",
                     after=1,
                     times=3,
                     match={"shard": 2},
@@ -238,7 +239,6 @@ class TestClassification:
         "exc",
         [
             BrokenProcessPool("pool died"),
-            TransportUnavailable("no shm"),
             DeadlineExceeded("too slow"),
             TimeoutError("timeout"),
             OSError("broken pipe"),
@@ -369,7 +369,7 @@ class TestRunWithRecovery:
 
     def test_exhausted_retries_fall_back_to_serial(self):
         def attempt(remaining):
-            raise TransportUnavailable("no shm")
+            raise BrokenProcessPool("worker died")
 
         result, log = run_with_recovery(
             attempt,
@@ -437,68 +437,3 @@ class TestRunWithRecovery:
         assert result == "ok"
         assert pauses == [pytest.approx(0.1), pytest.approx(0.2)]
 
-
-class TestActivationRingLeases:
-    def test_release_recycles_the_slot(self):
-        with ActivationRing(slots=1) as ring:
-            data = np.arange(32, dtype=np.float64).reshape(4, 8)
-            lease = ring.publish(data)
-            assert ring.outstanding == 1
-            ticket = lease.ticket(1, 3)
-            np.testing.assert_array_equal(load(ticket), data[1:3])
-            lease.release()
-            assert ring.outstanding == 0
-            ring.publish(data).release()  # slot is reusable
-
-    def test_release_and_abandon_are_idempotent(self):
-        with ActivationRing(slots=2) as ring:
-            lease = ring.publish(np.ones(4))
-            lease.release()
-            lease.release()
-            lease.abandon()
-            assert ring.outstanding == 0
-
-    def test_abandon_destroys_the_segment(self):
-        """The deadline path: an abandoned slot is never recycled, so a
-        retry can never rewrite memory a straggler is reading."""
-        with ActivationRing(slots=2) as ring:
-            lease = ring.publish(np.ones(8))
-            segment = lease.ticket(0, 8).segment
-            lease.abandon()
-            assert ring.outstanding == 0
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment)
-
-    def test_expired_lease_is_reclaimed_not_wedged(self):
-        """A dead consumer's lease must not pin the ring forever."""
-        with ActivationRing(slots=1, lease_timeout_s=0.05) as ring:
-            stale = ring.publish(np.ones(8))
-            time.sleep(0.06)
-            fresh = ring.publish(np.ones(8))  # must not block forever
-            assert ring.reclaimed == 1
-            stale.release()  # late release of a reclaimed lease: no-op
-            assert ring.outstanding == 1
-            fresh.release()
-
-    def test_publish_timeout_raises_transport_unavailable(self):
-        with ActivationRing(
-            slots=1, lease_timeout_s=None, publish_timeout_s=0.05
-        ) as ring:
-            lease = ring.publish(np.ones(8))
-            with pytest.raises(TransportUnavailable, match="no activation slot"):
-                ring.publish(np.ones(8))
-            lease.release()
-
-    def test_closed_ring_refuses_to_publish(self):
-        ring = ActivationRing(slots=1)
-        ring.close()
-        with pytest.raises(TransportUnavailable, match="closed"):
-            ring.publish(np.ones(4))
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="slots"):
-            ActivationRing(slots=0)
-        with pytest.raises(ValueError, match="lease_timeout_s"):
-            ActivationRing(slots=1, lease_timeout_s=0)
-        with pytest.raises(ValueError, match="publish_timeout_s"):
-            ActivationRing(slots=1, publish_timeout_s=-1)

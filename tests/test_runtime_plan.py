@@ -1,5 +1,9 @@
 """Runtime planning + scheduling: ExecutionPlan DAGs, scheduler
-registry, tile-parallel determinism, and the shared-memory transport."""
+registry, tile-parallel determinism, and clean pool shutdown."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from repro.mapping.compiler import (
     compile_model,
 )
 from repro.runtime import (
-    ActivationRing,
     ExecutionPlan,
     SerialScheduler,
     ShardParallelScheduler,
@@ -26,7 +29,6 @@ from repro.runtime import (
     plan_shards,
     resolve_scheduler,
 )
-from repro.runtime import transport as transport_mod
 from repro.utils.rng import new_rng
 
 from tests.test_mapping_compiler import quick_vgg  # noqa: F401  (fixture)
@@ -166,8 +168,6 @@ class TestSchedulerRegistry:
             TileParallelScheduler(workers=0)
         with pytest.raises(ValueError):
             ShardParallelScheduler(workers=0)
-        with pytest.raises(ValueError):
-            ShardParallelScheduler(transport="carrier-pigeon")
 
     def test_worker_cap_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_POOL_WORKERS", "2")
@@ -210,60 +210,70 @@ class TestTileParallelScheduler:
         assert layer.n_passes == before + layer.n_row_tiles * layer.n_col_tiles
 
 
-class TestActivationTransport:
-    def test_publish_load_roundtrip(self):
-        ring = ActivationRing(slots=2)
-        try:
-            x = new_rng(0).standard_normal((12, 7))
-            lease = ring.publish(x)
-            ticket = lease.ticket(3, 9)
-            out = transport_mod.load(ticket)
-            np.testing.assert_array_equal(out, x[3:9])
-            assert out.flags.owndata  # a copy, not a view into the segment
-            lease.release()
-        finally:
-            ring.close()
+#: Builds a small crossbar engine, then runs the same seeded request
+#: serially, through a cold shard-parallel pool and through a warmed
+#: one (express lanes), and saves the three logits to ``sys.argv[1]``.
+_SHUTDOWN_SCRIPT = """
+import sys
+import numpy as np
+from repro.api import Engine
+from repro.hardware.accelerator import TiledLinearLayer
+from repro.hardware.config import HardwareConfig
+from repro.mapping.compiler import CompiledNetwork, HeadStage, LinearStage, SignStage
+from repro.runtime import ShardParallelScheduler
+from repro.utils.rng import new_rng
 
-    def test_slots_are_reused_across_waves(self):
-        ring = ActivationRing(slots=1)
-        try:
-            first = ring.publish(np.zeros((4, 4)))
-            name = first.ticket(0, 4).segment
-            first.release()
-            second = ring.publish(np.ones((4, 4)))
-            assert second.ticket(0, 4).segment == name  # same slot, reused
-            second.release()
-        finally:
-            ring.close()
+rng = new_rng(0)
+pm = lambda shape: np.where(rng.random(shape) < 0.5, 1.0, -1.0)
+cfg = HardwareConfig(crossbar_size=16, gray_zone_ua=10.0, window_bits=8)
+layer = TiledLinearLayer(cfg, pm((64, 48)), seed=1)
+head = HeadStage(weight=pm((10, 48)), alpha=np.ones(10), gamma=np.ones(10),
+                 beta=np.zeros(10), mean=np.zeros(10), var=np.ones(10), eps=1e-5)
+engine = Engine(CompiledNetwork([SignStage(), LinearStage(layer=layer), head], cfg),
+                micro_batch=8)
+images = new_rng(99).standard_normal((40, 64))
+serial = engine.session(seed=5).run(images).logits
+with ShardParallelScheduler(workers=2) as pool:
+    cold = engine.session(seed=5, backend=pool).run(images).logits
+with ShardParallelScheduler(workers=2) as pool:
+    pool.warm(engine.network)
+    warm = engine.session(seed=5, backend=pool).run(images).logits
+np.savez(sys.argv[1], serial=serial, cold=cold, warm=warm)
+"""
 
-    def test_growing_wave_gets_bigger_slot(self):
-        ring = ActivationRing(slots=1)
-        try:
-            small = ring.publish(np.zeros((2, 2)))
-            small.release()
-            big = np.arange(100000, dtype=np.float64).reshape(1000, 100)
-            lease = ring.publish(big)
-            out = transport_mod.load(lease.ticket(0, 1000))
-            np.testing.assert_array_equal(out, big)
-            lease.release()
-        finally:
-            ring.close()
 
-    def test_closed_ring_rejects_publish(self):
-        ring = ActivationRing(slots=1)
-        ring.close()
-        with pytest.raises(transport_mod.TransportUnavailable):
-            ring.publish(np.zeros((2, 2)))
+def _shm_entries():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - host without /dev/shm
+        return set()
 
-    def test_transports_bit_identical(self, tiled_engine, request_images):
-        """The transport moves bytes, never randomness: shm and pickle
-        produce the same logits for the same plan."""
-        with ShardParallelScheduler(workers=2, transport="shm") as shm:
-            a = tiled_engine.session(seed=5, backend=shm).run(request_images)
-            assert shm.transport == "shm"  # did not silently fall back
-        with ShardParallelScheduler(workers=2, transport="pickle") as pickled:
-            b = tiled_engine.session(seed=5, backend=pickled).run(request_images)
-        np.testing.assert_array_equal(a.logits, b.logits)
+
+class TestCleanShutdown:
+    def test_pool_session_exits_clean(self, tmp_path):
+        """A process that ran pooled sessions (cold and warmed) exits 0
+        with no resource_tracker complaints, no shared-memory segments
+        left behind, and logits bit-identical to serial."""
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        out = tmp_path / "logits.npz"
+        before = _shm_entries()
+        proc = subprocess.run(
+            [sys.executable, "-c", _SHUTDOWN_SCRIPT, str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert _shm_entries() - before == set()
+        logits = np.load(out)
+        np.testing.assert_array_equal(logits["cold"], logits["serial"])
+        np.testing.assert_array_equal(logits["warm"], logits["serial"])
 
 
 class TestSessionSchedulerIntegration:
